@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import relations
+from . import graph, relations
 from .classify import NotInModelError, membership
 from .core import (
     Linearization,
@@ -61,32 +61,43 @@ def is_k_bounded_linearization(
     return True
 
 
-def _model_relation(msc: Msc, model: str) -> RelationGraph:
-    if model in ("asy", "p2p", "co"):
-        return RelationGraph.of(msc.events, msc.succ_edges | msc.msg_edges)
-    if model == "mb":
-        return relations.mb_generators(msc)
-    if model == "onen":
-        return relations.onen_generators(msc)
-    if model == "nn":
-        return relations.nn_bowtie(msc).base
-    raise ValueError(f"unknown model {model!r}")
-
-
 def _require_member(msc: Msc, model: str) -> None:
-    if model == "asy":
-        return
-    ok, _ = membership(msc, model)
-    if not ok:
+    require_valid(msc)
+    if model not in BOUNDED_MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    if not membership(msc, model)[0]:
         raise NotInModelError(f"MSC is not {model}")
 
 
-def _unmatched_ok(msc: Msc, k: int) -> bool:
+def _window_failure(msc: Msc, k: int, model: str, universal: bool) -> dict | None:
+    """Why the MSC is not k-bounded for `model`, or None when it is.
+
+    The first of: a channel with more than k unmatched sends (they
+    occupy it forever); with `universal`, a k-window constraint that the
+    closure of the scheduling relation does not imply (every model
+    linearization extends that closure); a cycle of the scheduling
+    relation joined with the window constraints.  For a member, implied
+    window constraints close no cycle, so the last test decides only the
+    existential question.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
     per_channel: dict[tuple[str, str], int] = {}
     for u in msc.unmatched_sends:
         ch = msc.labels[u].channel
         per_channel[ch] = per_channel.get(ch, 0) + 1
-    return all(n <= k for n in per_channel.values())
+    for ch, n in sorted(per_channel.items()):
+        if n > k:
+            return {"kind": "unmatched-overflow", "channel": list(ch), "unmatched": n}
+    window = (relations.relb_asy(msc, k) if model == "asy" else relations.relb(msc, k)).edges
+    sched = relations.scheduling(msc, model)
+    if universal:
+        implied = graph.reach(sched.adjacency())
+        for r, s in sorted(window):
+            if s not in implied[r]:
+                return {"kind": "unforced-window", "receive": r, "send": s}
+    ok, cycle = relations.is_acyclic(RelationGraph.of(msc.events, sched.edges | window))
+    return None if ok else {"kind": "cycle", "events": list(cycle)}
 
 
 def exists_k_bounded(msc: Msc, k: int, model: str = "asy") -> bool:
@@ -99,67 +110,21 @@ def exists_k_bounded(msc: Msc, k: int, model: str = "asy") -> bool:
     also sufficient: the window constraints then force a receive before
     every send that would overfill its channel.
     """
-    require_valid(msc)
-    if model not in BOUNDED_MODELS:
-        raise ValueError(f"unknown model {model!r}")
     _require_member(msc, model)
-    if not _unmatched_ok(msc, k):
-        return False
-    if model == "asy":
-        window = relations.relb_asy(msc, k).edges
-    else:
-        window = relations.relb(msc, k).edges
-    joined = RelationGraph.of(msc.events, _model_relation(msc, model).edges | window)
-    ok, _ = relations.is_acyclic(joined)
-    return ok
+    return _window_failure(msc, k, model, universal=False) is None
 
 
 def forall_k_bounded(msc: Msc, k: int, model: str = "asy") -> bool:
     """Every `model` linearization is k-bounded: the k-window constraints
     are already implied by the model's scheduling relation."""
-    require_valid(msc)
-    if model not in BOUNDED_MODELS:
-        raise ValueError(f"unknown model {model!r}")
     _require_member(msc, model)
-    if not _unmatched_ok(msc, k):
-        return False
-    if model == "asy":
-        window = relations.relb_asy(msc, k).edges
-        implied = {(a, b) for a in msc.events for b in msc.hb_reach[a]}
-    else:
-        window = relations.relb(msc, k).edges
-        # every model linearization extends the transitive closure of
-        # the scheduling relation, so inclusion is tested against it
-        implied = relations.transitive_closure(_model_relation(msc, model)).edges
-    return all(edge in implied for edge in window)
+    return _window_failure(msc, k, model, universal=True) is None
 
 
 def bounded_failure_witness(msc: Msc, k: int, model: str, universal: bool) -> dict:
     """Concrete evidence for a negative boundedness verdict: an
     overfull channel, an unimplied window constraint, or a cycle."""
-    per_channel: dict[tuple[str, str], int] = {}
-    for u in msc.unmatched_sends:
-        ch = msc.labels[u].channel
-        per_channel[ch] = per_channel.get(ch, 0) + 1
-    for ch, n in sorted(per_channel.items()):
-        if n > k:
-            return {"kind": "unmatched-overflow", "channel": list(ch), "unmatched": n}
-    window = (
-        relations.relb_asy(msc, k) if model == "asy" else relations.relb(msc, k)
-    ).edges
-    if universal:
-        if model == "asy":
-            implied = {(a, b) for a in msc.events for b in msc.hb_reach[a]}
-        else:
-            implied = relations.transitive_closure(_model_relation(msc, model)).edges
-        for r, s in sorted(window):
-            if (r, s) not in implied:
-                return {"kind": "unforced-window", "receive": r, "send": s}
-    joined = RelationGraph.of(msc.events, _model_relation(msc, model).edges | window)
-    ok, cycle = relations.is_acyclic(joined)
-    if not ok:
-        return {"kind": "cycle", "events": list(cycle or ())}
-    return {"kind": "none"}
+    return _window_failure(msc, k, model, universal) or {"kind": "none"}
 
 
 def minimal_exists_k(msc: Msc, model: str = "asy", cap: int = 32) -> int | None:
@@ -238,54 +203,6 @@ def _unit_graph(msc: Msc) -> tuple[list[tuple[int, ...]], dict[int, set[int]], s
     return units, weak, strict
 
 
-def _sccs(n: int, adj: dict[int, set[int]]) -> list[list[int]]:
-    """Tarjan, iterative; components returned with members sorted."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack: list[int] = []
-    out: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if root in index:
-            continue
-        work = [(root, iter(sorted(adj[root])))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(adj[w]))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(sorted(comp))
-    return out
-
-
 def decompose_exchanges(
     msc: Msc, k: int | None = None
 ) -> ExchangeDecomposition | DecompositionFailure:
@@ -301,11 +218,8 @@ def decompose_exchanges(
     if not msc.events:
         return ExchangeDecomposition(())
     units, weak, strict = _unit_graph(msc)
-    comps = _sccs(len(units), weak)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for u in comp:
-            comp_of[u] = ci
+    comps = graph.sccs(weak)
+    comp_of = {u: ci for ci, comp in enumerate(comps) for u in comp}
 
     for i, j in sorted(strict):
         if comp_of[i] == comp_of[j]:
@@ -318,28 +232,16 @@ def decompose_exchanges(
                 block = tuple(sorted(e for u in comp for e in units[u]))
                 return DecompositionFailure("block-exceeds-cap", events=block)
 
-    # condensation in deterministic topological order (min event id first)
-    dag: dict[int, set[int]] = {i: set() for i in range(len(comps))}
-    indeg = {i: 0 for i in range(len(comps))}
+    # The condensation, each block named by its least unit.  Units are in
+    # send order, so the ascending-id topological order is the one that
+    # puts the ready block with the least send first.
+    lead = {comp[0]: ci for ci, comp in enumerate(comps)}
+    dag: dict[int, list[int]] = {u: [] for u in lead}
     for u, vs in weak.items():
         for v in vs:
-            a, b = comp_of[u], comp_of[v]
-            if a != b and b not in dag[a]:
-                dag[a].add(b)
-                indeg[b] += 1
-    key = {ci: min(units[u][0] for u in comp) for ci, comp in enumerate(comps)}
-    import heapq
-
-    ready = [(key[ci], ci) for ci in indeg if indeg[ci] == 0]
-    heapq.heapify(ready)
-    topo: list[int] = []
-    while ready:
-        _, ci = heapq.heappop(ready)
-        topo.append(ci)
-        for cj in sorted(dag[ci]):
-            indeg[cj] -= 1
-            if indeg[cj] == 0:
-                heapq.heappush(ready, (key[cj], cj))
+            if comp_of[u] != comp_of[v]:
+                dag[comps[comp_of[u]][0]].append(comps[comp_of[v]][0])
+    topo = [lead[u] for u in graph.topo_order(dag)]
 
     factors: list[list[int]] = []
     group: list[int] = []

@@ -245,7 +245,7 @@ def _prunable(msc: Msc, model: str) -> bool:
 
 
 def _receive_order_edges(
-    rel: relations.ModelRelation, msc: Msc
+    rel: RelationGraph, msc: Msc
 ) -> set[tuple[int, int]]:
     """The clauses of the scheduling relations that persist under
     extension: those whose both endpoints involve matched messages."""

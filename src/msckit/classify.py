@@ -20,16 +20,14 @@ import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from . import relations
+from . import graph, relations
 from .core import (
     Linearization,
     Msc,
     MscError,
     RelationGraph,
-    _topo_order,
     enumerate_linearizations,
     extends_hb,
-    find_cycle,
     require_valid,
 )
 
@@ -52,7 +50,15 @@ def oracle_limit(default: int = 10) -> int:
     """Event cap for brute-force enumeration, overridable through the
     MSCKIT_ORACLE_LIMIT environment variable."""
     raw = os.environ.get("MSCKIT_ORACLE_LIMIT")
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    try:
+        limit = int(raw)
+    except ValueError:
+        raise OracleLimitError(f"MSCKIT_ORACLE_LIMIT is not an integer: {raw!r}") from None
+    if limit < 0:
+        raise OracleLimitError(f"MSCKIT_ORACLE_LIMIT is negative: {raw!r}")
+    return limit
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,24 +172,6 @@ def _pair_ok(msc: Msc, s1: int, s2: int, proc_order_receives: bool) -> bool:
     return True
 
 
-# -- acyclicity-based models --------------------------------------------------
-
-
-def is_mb(msc: Msc) -> tuple[bool, tuple[int, ...] | None]:
-    ok, cycle = relations.is_acyclic(relations.mb_generators(msc))
-    return (ok, tuple(cycle) if cycle else None)
-
-
-def is_onen(msc: Msc) -> tuple[bool, tuple[int, ...] | None]:
-    ok, cycle = relations.is_acyclic(relations.onen_generators(msc))
-    return (ok, tuple(cycle) if cycle else None)
-
-
-def is_nn(msc: Msc) -> tuple[bool, tuple[int, ...] | None]:
-    ok, cycle = relations.is_acyclic(relations.nn_bowtie(msc).base)
-    return (ok, tuple(cycle) if cycle else None)
-
-
 # -- rsc and crowns ------------------------------------------------------------
 
 
@@ -201,7 +189,7 @@ def crown_digraph(msc: Msc) -> RelationGraph:
 
 
 def find_crown(msc: Msc) -> Crown | None:
-    cycle = find_cycle(crown_digraph(msc))
+    cycle = graph.find_cycle(crown_digraph(msc).adjacency())
     if cycle is None:
         return None
     sends = cycle[:-1]
@@ -244,7 +232,7 @@ def nn_linearize(msc: Msc) -> Linearization:
     Emitted events leave the graph together with their outgoing edges.
     """
     require_valid(msc)
-    edges = relations.nn_bowtie(msc).edges
+    edges = relations.scheduling(msc, "nn").edges
     out_adj: dict[int, list[int]] = {e: [] for e in msc.events}
     indeg = {e: 0 for e in msc.events}
     for a, b in edges:
@@ -315,17 +303,6 @@ def rsc_linearize(msc: Msc) -> Linearization:
     return Linearization(tuple(order), ("rsc",))
 
 
-def _toposort_relation(msc: Msc, rel: RelationGraph) -> Linearization:
-    adj: dict[int, list[int]] = {e: [] for e in msc.events}
-    for a, b in rel.edges:
-        if a != b:
-            adj[a].append(b)
-    order = _topo_order(msc.events, adj)
-    if order is None:
-        raise NotInModelError("relation is cyclic")
-    return Linearization(tuple(order))
-
-
 def linearize(msc: Msc, model: str) -> Linearization:
     """A linearization witnessing membership of the MSC in `model`.
 
@@ -339,21 +316,29 @@ def linearize(msc: Msc, model: str) -> Linearization:
         raise ValueError(f"unknown model {model!r}")
     if not membership(msc, model)[0]:
         raise NotInModelError(f"MSC is not {model}")
-    if model in ("asy", "p2p", "co"):
-        lin = _toposort_relation(
-            msc, RelationGraph.of(msc.events, msc.succ_edges | msc.msg_edges)
-        )
-    elif model == "mb":
-        lin = _toposort_relation(msc, relations.mb_generators(msc))
-    elif model == "onen":
-        lin = _toposort_relation(msc, relations.onen_generators(msc))
-    elif model == "nn":
+    if model == "nn":
         lin = nn_linearize(msc)
-    else:
+    elif model == "rsc":
         lin = rsc_linearize(msc)
+    else:
+        # acyclic: hb is a partial order, and membership tested the others
+        order = graph.topo_order(relations.scheduling(msc, model).adjacency())
+        lin = Linearization(tuple(order))
     if not check_linearization(msc, lin, model):
         raise MscError(f"internal error: produced order fails the {model} clause")
     return Linearization(lin.order, (model,))
+
+
+# The send pairs whose receives a model's clause orders: those with equal
+# keys (same channel, receiver, sender, or any two), ordered by the
+# linearization, or by happens-before for co.
+_CLAUSE_KEYS = {
+    "p2p": lambda a: a.channel,
+    "co": lambda a: a.receiver,
+    "mb": lambda a: a.receiver,
+    "onen": lambda a: a.sender,
+    "nn": lambda a: None,
+}
 
 
 def check_linearization(msc: Msc, lin: Linearization | Sequence[int], model: str) -> bool:
@@ -378,7 +363,12 @@ def check_linearization(msc: Msc, lin: Linearization | Sequence[int], model: str
             return False
         return all(pos[r] == pos[s] + 1 for s, r in msc.matching.items())
 
-    sends = list(msc.send_events)
+    if model not in _CLAUSE_KEYS:
+        raise ValueError(f"unknown model {model!r}")
+    groups: dict[object, list[int]] = {}
+    for s in msc.send_events:
+        groups.setdefault(_CLAUSE_KEYS[model](msc.labels[s]), []).append(s)
+    before = msc.hb_strict if model == "co" else lambda s1, s2: pos[s1] < pos[s2]
 
     def receives_ordered(s1: int, s2: int) -> bool:
         if s2 not in msc.matching:
@@ -387,72 +377,36 @@ def check_linearization(msc: Msc, lin: Linearization | Sequence[int], model: str
             return False
         return pos[msc.matching[s1]] < pos[msc.matching[s2]]
 
-    if model == "p2p":
-        pairs = (
-            (s1, s2)
-            for s1 in sends
-            for s2 in sends
-            if s1 != s2
-            and pos[s1] < pos[s2]
-            and msc.labels[s1].channel == msc.labels[s2].channel
-        )
-    elif model == "co":
-        pairs = (
-            (s1, s2)
-            for s1 in sends
-            for s2 in sends
-            if s1 != s2
-            and msc.hb(s1, s2)
-            and msc.labels[s1].receiver == msc.labels[s2].receiver
-        )
-    elif model == "mb":
-        pairs = (
-            (s1, s2)
-            for s1 in sends
-            for s2 in sends
-            if s1 != s2
-            and pos[s1] < pos[s2]
-            and msc.labels[s1].receiver == msc.labels[s2].receiver
-        )
-    elif model == "onen":
-        pairs = (
-            (s1, s2)
-            for s1 in sends
-            for s2 in sends
-            if s1 != s2 and msc.proc_before(s1, s2)
-        )
-    elif model == "nn":
-        pairs = (
-            (s1, s2) for s1 in sends for s2 in sends if s1 != s2 and pos[s1] < pos[s2]
-        )
-    else:
-        raise ValueError(f"unknown model {model!r}")
-
-    return all(receives_ordered(s1, s2) for s1, s2 in pairs)
+    return all(
+        receives_ordered(s1, s2)
+        for group in groups.values()
+        for s1 in group
+        for s2 in group
+        if s1 != s2 and before(s1, s2)
+    )
 
 
 # -- membership dispatch and the brute-force oracle ----------------------------
 
 
+_CLAUSE_DECIDERS = {"asy": lambda msc: (True, None), "p2p": is_p2p, "co": is_co, "rsc": is_rsc}
+
+
 def membership(msc: Msc, model: str) -> tuple[bool, tuple[int, ...] | None]:
-    """Relational membership verdict plus a negative witness."""
-    if model == "asy":
-        return (True, None)
-    if model == "p2p":
-        ok, pair = is_p2p(msc)
-        return (ok, pair)
-    if model == "co":
-        ok, pair = is_co(msc)
-        return (ok, pair)
-    if model == "mb":
-        return is_mb(msc)
-    if model == "onen":
-        return is_onen(msc)
-    if model == "nn":
-        return is_nn(msc)
-    if model == "rsc":
-        return is_rsc(msc)
-    raise ValueError(f"unknown model {model!r}")
+    """Relational membership verdict plus a negative witness, memoised on
+    the MSC.  ``mb``, ``onen`` and ``nn`` hold iff the model's scheduling
+    relation is acyclic, and a minimal cycle is the witness; the other
+    models are decided on their clauses."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    key = "membership:" + model
+    if key not in msc._cache:
+        if model in _CLAUSE_DECIDERS:
+            msc._cache[key] = _CLAUSE_DECIDERS[model](msc)
+        else:
+            ok, cycle = relations.is_acyclic(relations.scheduling(msc, model))
+            msc._cache[key] = (ok, tuple(cycle) if cycle else None)
+    return msc._cache[key]
 
 
 def oracle_membership(msc: Msc, model: str, limit: int | None = None) -> bool:

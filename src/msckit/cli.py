@@ -229,23 +229,30 @@ def cmd_cfsm(args) -> int:
     return 1
 
 
+# --relation -> (model whose scheduling relation is drawn, whether it is
+# transitively closed first)
+DOT_RELATIONS = {"hb": ("asy", True), "mb": ("mb", True), "onen": ("onen", True), "bowtie": ("nn", False)}
+
+
 def cmd_dot(args) -> int:
     msc = load_msc(args.file)
     if args.relation:
-        rel = {
-            "hb": lambda m: relations.transitive_closure(
-                relations.union(
-                    relations.RelationGraph.of(m.events, m.succ_edges | m.msg_edges)
-                )
-            ),
-            "mb": lambda m: relations.mb_partial(m),
-            "onen": lambda m: relations.onen_partial(m),
-            "bowtie": lambda m: relations.nn_bowtie(m).base,
-        }[args.relation](msc)
+        model, closed = DOT_RELATIONS[args.relation]
+        rel = relations.scheduling(msc, model)
+        if closed:
+            rel = relations.transitive_closure(rel)
         print(relations.to_dot(rel, msc, name=args.relation), end="")
     else:
         print(to_dot(msc), end="")
     return 0
+
+
+def non_negative_int(text: str) -> int:
+    """Argument type for bounds and sizes: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,19 +287,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_lin)
 
     p = sub.add_parser("bounded", parents=[shared], help="existential/universal k-boundedness")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=non_negative_int, required=True)
     p.add_argument("--model", default="asy", choices=bounded_mod.BOUNDED_MODELS)
     p.add_argument("--universal", action="store_true")
     p.add_argument("file")
     p.set_defaults(func=cmd_bounded)
 
     p = sub.add_parser("decompose", parents=[shared], help="factor into exchanges")
-    p.add_argument("--k", type=int, default=None, help="cap sends per exchange")
+    p.add_argument("--k", type=non_negative_int, default=None, help="cap sends per exchange")
     p.add_argument("file")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("stw", parents=[shared], help="special treewidth via the decomposition game")
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=non_negative_int, required=True)
     p.add_argument("--trace", action="store_true", help="print a winning strategy")
     p.add_argument("file")
     p.set_defaults(func=cmd_stw)
@@ -301,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--formula")
     g.add_argument("--builtin", choices=MODELS)
-    p.add_argument("--so-limit", type=int, default=mso_mod.DEFAULT_SO_LIMIT)
+    p.add_argument("--so-limit", type=non_negative_int, default=mso_mod.DEFAULT_SO_LIMIT)
     p.add_argument("--closure-mode", choices=("native", "subset"), default="native")
     p.add_argument("file")
     p.set_defaults(func=cmd_mso)
@@ -317,18 +324,18 @@ def build_parser() -> argparse.ArgumentParser:
     pe = csub.add_parser("explore", parents=[shared], help="enumerate behaviors")
     pe.add_argument("--system", required=True)
     pe.add_argument("--model", default="asy", choices=cfsm_mod.EXPLORE_MODELS)
-    pe.add_argument("--max-events", type=int, default=6)
+    pe.add_argument("--max-events", type=non_negative_int, default=6)
     pe.set_defaults(func=cmd_cfsm)
     ps = csub.add_parser("synch", parents=[shared], help="bounded synchronizability search")
     ps.add_argument("--system", required=True)
     ps.add_argument("--model", default="asy", choices=cfsm_mod.EXPLORE_MODELS)
     ps.add_argument("--predicate", required=True, choices=cfsm_mod.PREDICATES)
-    ps.add_argument("--k", type=int, default=None)
-    ps.add_argument("--max-events", type=int, default=6)
+    ps.add_argument("--k", type=non_negative_int, default=None)
+    ps.add_argument("--max-events", type=non_negative_int, default=6)
     ps.set_defaults(func=cmd_cfsm)
 
     p = sub.add_parser("dot", parents=[shared], help="DOT export of the MSC or a relation")
-    p.add_argument("--relation", choices=("hb", "mb", "onen", "bowtie"), default=None)
+    p.add_argument("--relation", choices=tuple(DOT_RELATIONS), default=None)
     p.add_argument("file")
     p.set_defaults(func=cmd_dot)
 

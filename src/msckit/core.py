@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from . import graph
+
 SEND = "send"
 RECV = "recv"
 
@@ -103,6 +105,14 @@ class RelationGraph:
 
     def has(self, a: int, b: int) -> bool:
         return (a, b) in self.edges
+
+    def adjacency(self) -> dict[int, list[int]]:
+        """Successor lists of every node, the form :mod:`msckit.graph`
+        works on.  Edges must join nodes of the relation."""
+        adj: dict[int, list[int]] = {n: [] for n in self.nodes}
+        for a, b in self.edges:
+            adj[a].append(b)
+        return adj
 
     def to_edge_list(self) -> str:
         """One `a b` pair per line, sorted."""
@@ -237,20 +247,7 @@ class Msc:
             adj: dict[int, list[int]] = {e: [] for e in self.events}
             for a, b in self.succ_edges | self.msg_edges:
                 adj[a].append(b)
-            order = _topo_order(self.events, adj)
-            reach: dict[int, frozenset[int]] = {}
-            if order is None:
-                # Cyclic candidate structure: fall back to generic
-                # reachability so callers that merely inspect still work.
-                for e in self.events:
-                    reach[e] = frozenset(_reachable_from(e, adj)) | {e}
-            else:
-                for e in reversed(order):
-                    acc = {e}
-                    for f in adj[e]:
-                        acc.update(reach[f])
-                    reach[e] = frozenset(acc)
-            self._cache["hb_reach"] = reach
+            self._cache["hb_reach"] = graph.reach(adj, reflexive=True)
         return self._cache["hb_reach"]
 
     def hb(self, a: int, b: int) -> bool:
@@ -362,92 +359,23 @@ def validate(msc: Msc) -> ValidationReport:
     for a, b in msc.succ_edges | msc.msg_edges:
         if a in adj and b in adj:
             adj[a].append(b)
-    if _topo_order(msc.events, adj) is None:
-        cyc = find_cycle(RelationGraph.of(msc.events, msc.succ_edges | msc.msg_edges))
-        out.append(Violation("3", tuple(cyc or ()), "happens-before is not a partial order"))
+    cycle = graph.find_cycle(adj)
+    if cycle is not None:
+        out.append(Violation("3", tuple(cycle), "happens-before is not a partial order"))
 
     return ValidationReport(not out, tuple(out))
 
 
 def require_valid(msc: Msc) -> None:
-    report = validate(msc)
-    if not report.ok:
-        raise InvalidMscError("; ".join(f"({v.condition}) {v.detail}" for v in report.violations))
-
-
-# -- graph helpers -------------------------------------------------------
-
-
-def _topo_order(nodes: Iterable[int], adj: Mapping[int, list[int]]) -> list[int] | None:
-    """Kahn topological order with ascending-id tie-break, None if cyclic."""
-    nodes = sorted(nodes)
-    indeg = {n: 0 for n in nodes}
-    for n in nodes:
-        for m in adj.get(n, ()):
-            indeg[m] += 1
-    import heapq
-
-    ready = [n for n in nodes if indeg[n] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        n = heapq.heappop(ready)
-        order.append(n)
-        for m in adj.get(n, ()):
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                heapq.heappush(ready, m)
-    return order if len(order) == len(nodes) else None
-
-
-def _reachable_from(start: int, adj: Mapping[int, list[int]]) -> set[int]:
-    seen: set[int] = set()
-    stack = list(adj.get(start, ()))
-    while stack:
-        n = stack.pop()
-        if n not in seen:
-            seen.add(n)
-            stack.extend(adj.get(n, ()))
-    return seen
-
-
-def find_cycle(r: RelationGraph) -> list[int] | None:
-    """A minimal-length cycle of `r`, as a node list with first == last,
-    or None if acyclic.  BFS from every node keeps witnesses short."""
-    adj: dict[int, list[int]] = {n: [] for n in r.nodes}
-    for a, b in sorted(r.edges):
-        adj.setdefault(a, []).append(b)
-    best: list[int] | None = None
-    for start in sorted(r.nodes):
-        parent: dict[int, int] = {}
-        frontier = [start]
-        depth = 0
-        found = None
-        while frontier and found is None:
-            depth += 1
-            if best is not None and depth >= len(best):
-                break
-            nxt = []
-            for n in frontier:
-                for m in adj.get(n, ()):
-                    if m == start:
-                        found = n
-                        break
-                    if m not in parent:
-                        parent[m] = n
-                        nxt.append(m)
-                if found is not None:
-                    break
-            frontier = nxt
-        if found is not None:
-            path = [found]
-            while path[-1] != start:
-                path.append(parent[path[-1]] if path[-1] in parent else start)
-            path.reverse()
-            cycle = path + [start]
-            if best is None or len(cycle) < len(best):
-                best = cycle
-    return best
+    """Raise :class:`InvalidMscError` unless the MSC is valid.  The
+    verdict is memoised on the MSC, so it is validated once."""
+    if "violations" not in msc._cache:
+        report = validate(msc)
+        msc._cache["violations"] = "; ".join(
+            f"({v.condition}) {v.detail}" for v in report.violations
+        )
+    if msc._cache["violations"]:
+        raise InvalidMscError(msc._cache["violations"])
 
 
 # -- operations ----------------------------------------------------------
@@ -538,6 +466,11 @@ def concatenate(m1: Msc, m2: Msc) -> Msc:
     return out
 
 
+# prefix closure -> (model whose scheduling relation is used, whether
+# it is transitively closed first); the closure decides only the witness
+_PREFIX_RELATIONS = {"hb": ("asy", True), "onen": ("onen", True), "nn": ("nn", False)}
+
+
 def prefix(msc: Msc, keep: Iterable[int], closure: str = "hb") -> Msc:
     """Restrict the MSC to `keep`, provided `keep` is downward closed
     under the chosen relation: ``hb`` for happens-before, ``onen`` for
@@ -552,22 +485,19 @@ def prefix(msc: Msc, keep: Iterable[int], closure: str = "hb") -> Msc:
     if unknown:
         raise MscError(f"prefix keeps unknown events: {sorted(unknown)}")
 
-    if closure == "hb":
-        rel = happens_before(msc).edges
-    elif closure == "onen":
-        from . import relations
-
-        rel = relations.onen_partial(msc).edges
-    elif closure == "nn":
-        from . import relations
-
-        rel = relations.nn_bowtie(msc).base.edges
-    else:
+    if closure not in _PREFIX_RELATIONS:
         raise ValueError(f"unknown closure: {closure!r}")
+    from . import relations
 
-    for a, b in sorted(rel):
-        if b in keep and a not in keep and a != b:
-            raise NotDownwardClosedError((a, b))
+    model, closed = _PREFIX_RELATIONS[closure]
+    succ = relations.scheduling(msc, model).adjacency()
+    if closed:
+        succ = graph.reach(succ)
+    for a in sorted(succ):
+        if a not in keep:
+            above = [b for b in succ[a] if b in keep]
+            if above:
+                raise NotDownwardClosedError((a, min(above)))
 
     labels = {e: msc.labels[e] for e in keep}
     proc_order = {p: tuple(e for e in seq if e in keep) for p, seq in msc.proc_order.items()}

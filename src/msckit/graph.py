@@ -1,0 +1,157 @@
+"""
+Digraph algorithms shared by the relational checks.
+
+A digraph is given as adjacency: a dict mapping every node to its
+successors (a list or a set), with every successor also a key.  Node ids are
+integers; wherever a choice is made, the smaller id goes first, so every
+result is deterministic.
+"""
+
+from __future__ import annotations
+
+import heapq
+from typing import Collection, Mapping
+
+Adjacency = Mapping[int, Collection[int]]
+
+
+def _kahn(adj: Adjacency) -> list[int]:
+    """Kahn's algorithm, smallest ready id first; the nodes it orders
+    (all of them iff the digraph is acyclic)."""
+    indeg = dict.fromkeys(adj, 0)
+    for succs in adj.values():
+        for m in succs:
+            indeg[m] += 1
+    ready = [n for n, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        n = heapq.heappop(ready)
+        order.append(n)
+        for m in adj[n]:
+            indeg[m] -= 1
+            if indeg[m] == 0:
+                heapq.heappush(ready, m)
+    return order
+
+
+def topo_order(adj: Adjacency) -> list[int] | None:
+    """Topological order with the ascending-id tie-break, None if cyclic."""
+    order = _kahn(adj)
+    return order if len(order) == len(adj) else None
+
+
+def sccs(adj: Adjacency) -> list[list[int]]:
+    """Strongly connected components by iterative Tarjan, roots and
+    successors visited in ascending order.  Each component is sorted, and
+    a component comes after every component it reaches."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    on_stack: set[int] = set()
+    stack: list[int] = []
+    out: list[list[int]] = []
+    for root in sorted(adj):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(sorted(adj[root])))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(sorted(adj[w]))))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    out.append(sorted(comp))
+    return out
+
+
+def reach(adj: Adjacency, reflexive: bool = False) -> dict[int, frozenset[int]]:
+    """For every node, the nodes reachable along one or more edges; with
+    `reflexive`, the node itself too.  In the strict form a node reaches
+    itself only when it lies on a cycle (a self-loop included).
+
+    Accumulated over the components of :func:`sccs`, each after all the
+    components it reaches, so cyclic digraphs need no special case."""
+    out: dict[int, frozenset[int]] = {}
+    for comp in sccs(adj):
+        members = frozenset(comp)
+        acc: set[int] = set()
+        cyclic = False
+        for v in comp:
+            for w in adj[v]:
+                if w in members:
+                    cyclic = True
+                else:
+                    acc.add(w)
+                    acc |= out[w]
+        if cyclic or reflexive:
+            acc |= members
+        closed = frozenset(acc)
+        for v in comp:
+            out[v] = closed
+    return out
+
+
+def find_cycle(adj: Adjacency) -> list[int] | None:
+    """A minimal-length cycle as a node list with first == last, or None
+    if acyclic.
+
+    Kahn's algorithm decides acyclicity.  Only when it leaves nodes
+    unordered (every cycle lies among them, and so does everything they
+    reach) does a breadth-first search run from each of them in
+    ascending order, successors in ascending order, keeping the first
+    shortest cycle found."""
+    left = set(adj).difference(_kahn(adj))
+    if not left:
+        return None
+    best: list[int] | None = None
+    for start in sorted(left):
+        parent: dict[int, int] = {}
+        frontier = [start]
+        depth = 0
+        found = None
+        while frontier and found is None:
+            depth += 1
+            if best is not None and depth >= len(best):
+                break
+            nxt = []
+            for n in frontier:
+                for m in sorted(adj[n]):
+                    if m == start:
+                        found = n
+                        break
+                    if m not in parent:
+                        parent[m] = n
+                        nxt.append(m)
+                if found is not None:
+                    break
+            frontier = nxt
+        if found is not None:
+            path = [found]
+            while path[-1] != start:
+                path.append(parent[path[-1]] if path[-1] in parent else start)
+            path.reverse()
+            cycle = path + [start]
+            if best is None or len(cycle) < len(best):
+                best = cycle
+    return best

@@ -14,78 +14,42 @@ relations over events:
 * ``relb`` / ``relb_asy``  the "receive i before send i+k" constraints
   of k-bounded channels, in the FIFO and the general form.
 
-Relations are materialized as explicit edge sets; the MSCs handled here
-have at most a few hundred events, so cubic closures are fine.
+Relations are materialized as explicit edge sets.  Closures and cycle
+searches go through :mod:`msckit.graph`, and :data:`SCHEDULING` names the
+relation whose linearizations are exactly a model's candidate schedules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Msc, RelationGraph, find_cycle, require_valid
-
-MB = "mbrel"
-ONEN = "onenrel"
-NNREL = "nnrel"
-BOWTIE = "nnbowtie"
-RELB = "relb"
-RELB_ASY = "relb_asy"
+from . import graph
+from .core import Msc, RelationGraph, require_valid
 
 
 class NotP2pError(Exception):
     """Raised when a FIFO-indexed construction is applied to a non-FIFO MSC."""
 
 
-@dataclass(frozen=True, slots=True)
-class ModelRelation:
-    base: RelationGraph
-    kind: str
-
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return self.base.edges
-
-
 def transitive_closure(r: RelationGraph, reflexive: bool = False) -> RelationGraph:
     """Standard transitive closure; with `reflexive`, adds all loops."""
-    succ: dict[int, set[int]] = {n: set() for n in r.nodes}
-    for a, b in r.edges:
-        succ.setdefault(a, set()).add(b)
-    changed = True
-    while changed:
-        changed = False
-        for a in succ:
-            extra = set()
-            for b in succ[a]:
-                extra |= succ.get(b, set()) - succ[a]
-            if extra:
-                succ[a] |= extra
-                changed = True
-    edges = {(a, b) for a, bs in succ.items() for b in bs}
-    if reflexive:
-        edges |= {(n, n) for n in r.nodes}
-    return RelationGraph.of(r.nodes, edges)
+    reach = graph.reach(r.adjacency(), reflexive=reflexive)
+    return RelationGraph.of(r.nodes, ((a, b) for a, bs in reach.items() for b in bs))
 
 
 def is_acyclic(r: RelationGraph) -> tuple[bool, list[int] | None]:
     """True plus None, or False plus a minimal cycle (first == last)."""
-    cycle = find_cycle(r)
+    cycle = graph.find_cycle(r.adjacency())
     return (cycle is None, cycle)
 
 
-def union(*rs: RelationGraph) -> RelationGraph:
-    nodes: frozenset[int] = frozenset()
-    edges: frozenset[tuple[int, int]] = frozenset()
-    for r in rs:
-        nodes |= r.nodes
-        edges |= r.edges
-    return RelationGraph(nodes, edges)
+def hb_generators(msc: Msc) -> RelationGraph:
+    """Process succession and matching, unclosed."""
+    return RelationGraph.of(msc.events, msc.succ_edges | msc.msg_edges)
 
 
 # -- mailbox -------------------------------------------------------------
 
 
-def mb_rel(msc: Msc) -> ModelRelation:
+def mb_rel(msc: Msc) -> RelationGraph:
     """Edges between sends to a common receiver: matched before
     unmatched, and matched pairs ordered as their receives."""
     require_valid(msc)
@@ -103,7 +67,7 @@ def mb_rel(msc: Msc) -> ModelRelation:
                     edges.add((s1, s2))
                 elif m1 and m2 and msc.proc_before(msc.matching[s1], msc.matching[s2]):
                     edges.add((s1, s2))
-    return ModelRelation(RelationGraph.of(msc.events, edges), MB)
+    return RelationGraph.of(msc.events, edges)
 
 
 def mb_generators(msc: Msc) -> RelationGraph:
@@ -121,7 +85,7 @@ def mb_partial(msc: Msc, reflexive: bool = False) -> RelationGraph:
 # -- 1-n -----------------------------------------------------------------
 
 
-def onen_rel(msc: Msc) -> ModelRelation:
+def onen_rel(msc: Msc) -> RelationGraph:
     """Edges forced by per-sender FIFO: a sender's matched sends precede
     its unmatched ones, and receives of one sender's messages follow the
     order of the sends."""
@@ -140,7 +104,7 @@ def onen_rel(msc: Msc) -> ModelRelation:
                     edges.add((s1, s2))
                 elif m1 and m2 and msc.proc_before(s1, s2):
                     edges.add((msc.matching[s1], msc.matching[s2]))
-    return ModelRelation(RelationGraph.of(msc.events, edges), ONEN)
+    return RelationGraph.of(msc.events, edges)
 
 
 def onen_generators(msc: Msc) -> RelationGraph:
@@ -166,7 +130,7 @@ def nn_rel(msc: Msc) -> RelationGraph:
     )
 
 
-def nn_bowtie(msc: Msc) -> ModelRelation:
+def nn_bowtie(msc: Msc) -> RelationGraph:
     """The event dependency relation for the global-FIFO model.
 
     Contains the closed relation from :func:`nn_rel` plus, for pairs not
@@ -176,8 +140,7 @@ def nn_bowtie(msc: Msc) -> ModelRelation:
     re-closed; acyclicity of the resulting digraph is what matters.
     """
     require_valid(msc)
-    base = nn_rel(msc)
-    rel = base.edges
+    rel = nn_rel(msc).edges
     edges = set(rel)
     matched = sorted(msc.matched_sends)
     for s1 in matched:
@@ -193,7 +156,31 @@ def nn_bowtie(msc: Msc) -> ModelRelation:
         for u in msc.unmatched_sends:
             if (s1, u) not in rel:
                 edges.add((s1, u))
-    return ModelRelation(RelationGraph.of(msc.events, edges), BOWTIE)
+    return RelationGraph.of(msc.events, edges)
+
+
+# -- the scheduling relation of each model -----------------------------------
+
+# A model's linearizations are the linearizations of its scheduling
+# relation: hb for the universal-clause models, and for mb, onen and nn
+# the relation whose acyclicity decides membership.  Entries are names,
+# resolved on this module at call time, so a rebound function is used.
+SCHEDULING = {
+    "asy": "hb_generators",
+    "p2p": "hb_generators",
+    "co": "hb_generators",
+    "mb": "mb_generators",
+    "onen": "onen_generators",
+    "nn": "nn_bowtie",
+}
+
+
+def scheduling(msc: Msc, model: str) -> RelationGraph:
+    """The scheduling relation of `model`, memoised on the MSC."""
+    key = "scheduling:" + SCHEDULING[model]
+    if key not in msc._cache:
+        msc._cache[key] = globals()[SCHEDULING[model]](msc)
+    return msc._cache[key]
 
 
 # -- k-bounded channel constraints ----------------------------------------
@@ -221,7 +208,7 @@ def channel_receives(msc: Msc) -> dict[tuple[str, str], list[int]]:
     return out
 
 
-def relb(msc: Msc, k: int) -> ModelRelation:
+def relb(msc: Msc, k: int) -> RelationGraph:
     """For each channel, an edge from its i-th receive to its (i+k)-th
     send: the receive must be scheduled first in any k-bounded
     linearization.  FIFO channels make the indexing meaningful, so the
@@ -242,10 +229,10 @@ def relb(msc: Msc, k: int) -> ModelRelation:
             j = i + k
             if j < len(ss):
                 edges.add((r, ss[j]))
-    return ModelRelation(RelationGraph.of(msc.events, edges), RELB)
+    return RelationGraph.of(msc.events, edges)
 
 
-def relb_asy(msc: Msc, k: int) -> ModelRelation:
+def relb_asy(msc: Msc, k: int) -> RelationGraph:
     """Order-free variant of :func:`relb`: whenever k+1 sends are chained
     on one channel and at least one is matched, the earliest of their
     receives must precede the last send."""
@@ -268,7 +255,7 @@ def relb_asy(msc: Msc, k: int) -> ModelRelation:
                 continue
             first = min(matched, key=lambda s: rpos[s])
             edges.add((msc.matching[first], tup[-1]))
-    return ModelRelation(RelationGraph.of(msc.events, edges), RELB_ASY)
+    return RelationGraph.of(msc.events, edges)
 
 
 # -- export ----------------------------------------------------------------

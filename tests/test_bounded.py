@@ -9,6 +9,7 @@ from msckit.bounded import (
     BOUNDED_MODELS,
     DecompositionFailure,
     ExchangeDecomposition,
+    bounded_failure_witness,
     decompose_exchanges,
     exists_k_bounded,
     forall_k_bounded,
@@ -72,6 +73,18 @@ def test_bounded_requires_membership():
         exists_k_bounded(example("crossing"), 1, "p2p")
     with pytest.raises(NotInModelError):
         forall_k_bounded(example("mailbox_cross"), 1, "mb")
+
+
+@pytest.mark.parametrize("name", ["pipeline", "crossing"])
+def test_negative_k_rejected(name):
+    # pipeline has unmatched sends, crossing none: both fail the same way
+    m = example(name)
+    for fn in (exists_k_bounded, forall_k_bounded):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            fn(m, -1, "asy")
+    for universal in (False, True):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            bounded_failure_witness(m, -1, "asy", universal)
 
 
 def test_unmatched_overflow_not_bounded():

@@ -154,6 +154,36 @@ def test_dot(capsys, msc_file):
     assert code == 0 and "digraph mb" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounded", "--k", "-1", "pipeline"),
+        ("bounded", "--k", "-1", "crossing"),
+        ("decompose", "--k", "-1", "staggered"),
+        ("stw", "--max", "-5", "overtake"),
+        ("mso", "--builtin", "mb", "--so-limit", "-1", "blocked"),
+    ],
+)
+def test_negative_bound_is_usage_error(capsys, msc_file, argv):
+    code = main([*argv[:-1], msc_file(argv[-1])])
+    err = capsys.readouterr().err
+    assert code == 2 and "must be >= 0" in err and "Traceback" not in err
+
+
+def test_negative_max_events_is_usage_error(tmp_path, capsys):
+    sysfile = tmp_path / "sys.cfsm"
+    sysfile.write_text("machine p: state a init\n", encoding="utf-8")
+    for sub in (["explore"], ["synch", "--predicate", "weakly-synchronous"]):
+        assert main(["cfsm", *sub, "--system", str(sysfile), "--max-events", "-1"]) == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_decompose_cap_zero_is_valid(capsys, msc_file):
+    code, out = run(capsys, "decompose", "--k", "0", msc_file("staggered"))
+    assert code == 1 and "impossible with cap 0" in out
+    assert run(capsys, "decompose", "--k", "0", msc_file("roundtrip"))[0] in (0, 1)
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["linearize"]) == 2
     assert main(["classify", "/nonexistent/file.msc"]) == 2

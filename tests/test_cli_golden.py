@@ -1,0 +1,76 @@
+"""Golden replay of the command line over the bundled corpus.
+
+Each case runs :func:`msckit.cli.main` in-process on one corpus file and
+compares its stdout and exit code with ``tests/data/cli_golden.json``,
+byte for byte.  The cases cover ``validate``, ``classify`` (text and
+``--format json``), ``bounded --k {1,2}`` for every bounded model with
+and without ``--universal``, ``decompose`` with and without ``--k 1``,
+and ``dot --relation`` for each exported relation.
+
+To re-record after an intended change of output, run from the
+repository root::
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+and review the diff of ``tests/data/cli_golden.json`` before committing.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib.resources
+import io
+import json
+import pathlib
+
+import pytest
+
+from msckit.bounded import BOUNDED_MODELS
+from msckit.cli import main
+from msckit.corpus import EXAMPLES
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
+
+
+def _commands() -> list[list[str]]:
+    out = [["validate"], ["classify"], ["--format", "json", "classify"]]
+    for k in ("1", "2"):
+        for model in BOUNDED_MODELS:
+            out.append(["bounded", "--k", k, "--model", model])
+            out.append(["bounded", "--k", k, "--model", model, "--universal"])
+    out += [["decompose"], ["decompose", "--k", "1"]]
+    out += [["dot", "--relation", r] for r in ("hb", "mb", "onen", "bowtie")]
+    return out
+
+
+CASES = {
+    " ".join(cmd + [f"{name}.msc"]): (cmd, name) for name in EXAMPLES for cmd in _commands()
+}
+
+
+def _run(cmd: list[str], name: str) -> dict:
+    path = importlib.resources.files("msckit").joinpath("corpus", f"{name}.msc")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = main(cmd + [str(path)])
+    return {"exit": code, "stdout": buf.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_golden(case, golden):
+    assert _run(*CASES[case]) == golden[case]
+
+
+if __name__ == "__main__":
+    data = {case: _run(*CASES[case]) for case in sorted(CASES)}
+    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(data)} cases to {GOLDEN}")

@@ -106,12 +106,12 @@ def test_onen_rel_empty_when_single_sends():
 
 
 def test_bowtie_pipeline_acyclic():
-    ok, _ = relations.is_acyclic(relations.nn_bowtie(example("pipeline")).base)
+    ok, _ = relations.is_acyclic(relations.nn_bowtie(example("pipeline")))
     assert ok
 
 
 def test_bowtie_late_receive_cyclic():
-    ok, cycle = relations.is_acyclic(relations.nn_bowtie(example("late_receive")).base)
+    ok, cycle = relations.is_acyclic(relations.nn_bowtie(example("late_receive")))
     assert not ok and cycle
 
 
@@ -278,5 +278,5 @@ def test_no_unmatched_mb_iff_onen():
 def test_relation_dot_and_edge_list():
     m = example("blocked")
     rel = relations.mb_rel(m)
-    assert "e1 -> e0" in relations.to_dot(rel.base, m)
-    assert rel.base.to_edge_list() == "1 0"
+    assert "e1 -> e0" in relations.to_dot(rel, m)
+    assert rel.to_edge_list() == "1 0"
