@@ -9,23 +9,37 @@ events agree on the message.  There are no final states: the set of
 behaviors of a system is prefix closed.
 
 `explore` enumerates, breadth-first by event count and deduplicated up
-to isomorphism, every MSC admitting a run, filtered by membership in a
-communication model.  `bounded_synchronizability` searches that space
-for a violation of a boundedness or synchronizability predicate and
-reports an honest bound-relative verdict.
+to isomorphism, every MSC admitting a run that belongs to a
+communication model.  It takes one of two routes:
+
+* for the queue-network models (p2p, mb, onen, nn) it steps the machines
+  against a configuration of the model's canonical network
+  (:mod:`msckit.network`), so every behavior it reaches is the chart of
+  a network execution and lies in the class by construction;
+* for asy, co and rsc it matches receives against any in-flight send
+  (bag semantics) and prunes partial behaviors that no extension can
+  bring back into the class.
+
+``explore(..., prune=False)`` is the unpruned bag route for every model,
+filtered by :func:`msckit.classify.membership`; tests compare both routes
+against it.  `bounded_synchronizability` searches the explored space for
+a violation of a boundedness or synchronizability predicate and reports
+an honest bound-relative verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from . import bounded as bounded_mod
-from . import relations
+from . import network
 from .classify import find_crown, membership
-from .core import Action, Msc, MscError, RelationGraph, require_valid
+from .core import Action, Msc, MscError, require_valid
 
 EXPLORE_MODELS = ("asy", "p2p", "co", "mb", "onen", "nn", "rsc")
+
+Transition = tuple[str, Action, str]
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,7 +47,11 @@ class Machine:
     process: str
     states: tuple[str, ...]
     initial: str
-    transitions: tuple[tuple[str, Action, str], ...]
+    transitions: tuple[Transition, ...]
+    # transitions by source state, in `steps_from` order
+    _steps: dict[str, tuple[Transition, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.initial not in self.states:
@@ -43,12 +61,15 @@ class Machine:
                 raise MscError(f"{action} does not belong to machine {self.process}")
             if src not in self.states or dst not in self.states:
                 raise MscError(f"transition {src}->{dst} uses undeclared states")
+        steps: dict[str, list[Transition]] = {s: [] for s in self.states}
+        for t in sorted(self.transitions, key=lambda t: (str(t[1]), t[2])):
+            steps[t[0]].append(t)
+        object.__setattr__(self, "_steps", {s: tuple(ts) for s, ts in steps.items()})
 
-    def steps_from(self, state: str) -> list[tuple[str, Action, str]]:
-        return sorted(
-            (t for t in self.transitions if t[0] == state),
-            key=lambda t: (str(t[1]), t[2]),
-        )
+    def steps_from(self, state: str) -> tuple[Transition, ...]:
+        """The transitions leaving `state`, ordered by action text then
+        target state."""
+        return self._steps.get(state, ())
 
 
 @dataclass(frozen=True)
@@ -63,7 +84,7 @@ class CfsmSystem:
         return self.machines[p]
 
 
-Run = dict[int, tuple[str, Action, str]]
+Run = dict[int, Transition]
 
 
 def find_run(sys: CfsmSystem, msc: Msc) -> Run | None:
@@ -91,27 +112,171 @@ def find_run(sys: CfsmSystem, msc: Msc) -> Run | None:
     return run
 
 
-def _find_path(
-    machine: Machine, word: list[Action]
-) -> list[tuple[str, Action, str]] | None:
-    """Backtracking NFA membership, deterministic transition order."""
-    path: list[tuple[str, Action, str]] = []
-
-    def rec(state: str, i: int) -> bool:
-        if i == len(word):
-            return True
-        for t in machine.steps_from(state):
-            if t[1] == word[i]:
+def _find_path(machine: Machine, word: list[Action]) -> list[Transition] | None:
+    """The first path spelling `word` in `steps_from` order: depth-first
+    search with an explicit stack, skipping (state, position) pairs
+    already known to lead nowhere."""
+    if not word:
+        return []
+    path: list[Transition] = []
+    # one iterator per open position; stack[i] yields candidates for word[i]
+    stack = [iter(machine.steps_from(machine.initial))]
+    dead: set[tuple[str, int]] = set()
+    while stack:
+        i = len(path)
+        for t in stack[-1]:
+            if t[1] == word[i] and (t[2], i + 1) not in dead:
                 path.append(t)
-                if rec(t[2], i + 1):
-                    return True
-                path.pop()
-        return False
-
-    return path if rec(machine.initial, 0) else None
+                if len(path) == len(word):
+                    return path
+                stack.append(iter(machine.steps_from(t[2])))
+                break
+        else:
+            stack.pop()
+            if path:
+                dead.add((path.pop()[2], i))
+    return None
 
 
 # -- exploration -----------------------------------------------------------------
+
+
+def explore(
+    sys: CfsmSystem, model: str = "asy", max_events: int = 6, prune: bool = True
+) -> Iterator[Msc]:
+    """All behaviors of the system with at most `max_events` events that
+    belong to the model class, breadth-first by event count, one MSC per
+    isomorphism class, sorted by :meth:`Msc.canonical` within each level.
+
+    With `prune` (the default), p2p, mb, onen and nn behaviors are the
+    executions of the model's queue network: a receive consumes the head
+    of its queue, so each emitted chart's event ids follow the network
+    execution that first reached it and replay on that network.  asy, co
+    and rsc behaviors match receives against any in-flight send with the
+    right channel and payload (bag semantics), so non-FIFO matchings are
+    reached too, and partial behaviors that cannot re-enter the class
+    are pruned.  With ``prune=False`` every model takes the bag route
+    unpruned and keeps the members: the slow reference.
+    """
+    if model not in EXPLORE_MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    if prune and model in network.KINDS:
+        yield from _explore_network(sys, model, max_events)
+    else:
+        yield from _explore_bag(sys, model, max_events, prune)
+
+
+@dataclass(frozen=True, slots=True)
+class _Execution:
+    """A network execution of the system, event ids in execution order.
+    `words` and `placed` give its chart in (process index, line index)
+    coordinates, which do not depend on the event ids."""
+
+    states: tuple[str, ...]  # machine state per process, in system order
+    actions: tuple[Action, ...]  # label of event i
+    coords: tuple[tuple[int, int], ...]  # coordinates of event i
+    matching: tuple[tuple[int, int], ...]  # (send, receive) event ids
+    config: network.NetworkConfig
+    words: tuple[tuple[str, ...], ...]  # label text along each process line
+    placed: frozenset  # the matching as (send, receive) coordinate pairs
+
+    def to_msc(self, processes: tuple[str, ...]) -> Msc:
+        lines: list[list[int]] = [[] for _ in processes]
+        for e, (pi, _) in enumerate(self.coords):
+            lines[pi].append(e)
+        return Msc(
+            processes,
+            dict(enumerate(self.actions)),
+            dict(zip(processes, lines)),
+            dict(self.matching),
+        )
+
+
+def _explore_network(sys: CfsmSystem, model: str, max_events: int) -> Iterator[Msc]:
+    """Breadth-first search over (machine states, chart, queue contents).
+
+    Executions are merged when their keys agree: machine states, the
+    label words of the process lines, the matching and the queue
+    contents, both in (process index, line index) coordinates.  Equal
+    keys mean isomorphic charts with the same futures.
+    """
+    processes = sys.processes
+    if not processes:  # no machine, no step: only the empty chart
+        yield Msc(processes, {}, {}, {})
+        return
+    # peers without a machine still get queues: their messages stay in flight
+    actions = [t[1] for m in sys.machines.values() for t in m.transitions]
+    net = network.network_for(model, network.full_process_set(actions, processes))
+    # per process and state: (action, target, label text, queue id) per transition
+    moves = [
+        {
+            state: [
+                (a, dst, str(a), net.queue_of(a.sender, a.receiver))
+                for _, a, dst in sys.machines[p].steps_from(state)
+            ]
+            for state in sys.machines[p].states
+        }
+        for p in processes
+    ]
+    initial = _Execution(
+        tuple(sys.machines[p].initial for p in processes),
+        (),
+        (),
+        (),
+        network.NetworkConfig.initial(net),
+        tuple(() for _ in processes),
+        frozenset(),
+    )
+    level = {None: initial}
+    for depth in range(max_events + 1):
+        charts = set()
+        emit = []
+        for ex in level.values():
+            if (ex.words, ex.placed) not in charts:
+                charts.add((ex.words, ex.placed))
+                msc = ex.to_msc(processes)
+                emit.append((msc.canonical(), msc))
+        emit.sort(key=lambda pair: pair[0])
+        for _, msc in emit:
+            yield msc
+        if depth == max_events:
+            return
+        nxt: dict = {}
+        for ex in level.values():
+            for pi, state in enumerate(ex.states):
+                coord = (pi, len(ex.words[pi]))
+                coords = ex.coords + (coord,)
+                for action, dst, label, qid in moves[pi][state]:
+                    config = network.step(net, ex.config, action, origin=depth)
+                    if config is None:
+                        continue
+                    matching, placed = ex.matching, ex.placed
+                    if not action.is_send:
+                        origin = ex.config.content(qid)[0][3]
+                        matching += ((origin, depth),)
+                        placed = placed | {(coords[origin], coord)}
+                    states = tuple(dst if j == pi else s for j, s in enumerate(ex.states))
+                    words = tuple(
+                        w + (label,) if j == pi else w for j, w in enumerate(ex.words)
+                    )
+                    queued = tuple(
+                        tuple(coords[entry[3]] for entry in entries)
+                        for _, entries in config.queues
+                    )
+                    key = (states, words, placed, queued)
+                    if key not in nxt:
+                        nxt[key] = _Execution(
+                            states,
+                            ex.actions + (action,),
+                            coords,
+                            matching,
+                            config,
+                            words,
+                            placed,
+                        )
+        level = nxt
+        if not level:
+            return
 
 
 @dataclass(frozen=True)
@@ -130,33 +295,20 @@ class _Partial:
         )
 
 
-def explore(
-    sys: CfsmSystem, model: str = "asy", max_events: int = 6, prune: bool = True
+def _explore_bag(
+    sys: CfsmSystem, model: str, max_events: int, prune: bool
 ) -> Iterator[Msc]:
-    """All behaviors of the system with at most `max_events` events that
-    belong to the model class, breadth-first by event count, one MSC per
-    isomorphism class, deterministic order within each level.
-
-    Receives may match any in-flight send with the right channel and
-    payload (bag semantics), so non-FIFO matchings are reached too.
-    Partial behaviors whose extensions cannot re-enter the class are
-    pruned: directly for the prefix-closed models, and through the
-    persistent part of the scheduling relations for the others.
-    """
-    if model not in EXPLORE_MODELS:
-        raise ValueError(f"unknown model {model!r}")
     processes = sys.processes
     initial = _Partial(
         tuple(sys.machines[p].initial for p in processes), tuple(() for _ in processes), (), ()
     )
+    initial_msc = initial.to_msc(processes)
     seen_mscs: set = set()
     # one representative per (machine states, MSC isomorphism class)
-    level = {(initial.states, initial.to_msc(processes).canonical()): initial}
+    level = {(initial.states, initial_msc.canonical()): (initial, initial_msc)}
     for _ in range(max_events + 1):
         emit = []
-        for partial in level.values():
-            msc = partial.to_msc(processes)
-            canon = msc.canonical()
+        for (_, canon), (_, msc) in level.items():
             if canon not in seen_mscs:
                 seen_mscs.add(canon)
                 if membership(msc, model)[0]:
@@ -164,7 +316,7 @@ def explore(
         for _, msc in sorted(emit, key=lambda pair: pair[0]):
             yield msc
         nxt: dict = {}
-        for partial in level.values():
+        for partial, _ in level.values():
             if len(partial.labels) >= max_events:
                 continue
             for succ in _successors(sys, processes, partial):
@@ -172,7 +324,7 @@ def explore(
                 key = (succ.states, msc.canonical())
                 if key in nxt or (prune and _prunable(msc, model)):
                     continue
-                nxt[key] = succ
+                nxt[key] = (succ, msc)
         level = nxt
         if not level:
             return
@@ -182,10 +334,9 @@ def _successors(
     sys: CfsmSystem, processes: tuple[str, ...], partial: _Partial
 ) -> Iterator[_Partial]:
     # in-flight sends: emitted, not yet matched
+    matched = {s for s, _ in partial.matching}
     pending = [
-        i
-        for i, a in enumerate(partial.labels)
-        if a.is_send and i not in {s for s, _ in partial.matching}
+        i for i, a in enumerate(partial.labels) if a.is_send and i not in matched
     ]
     nid = len(partial.labels)
     for pi, p in enumerate(processes):
@@ -220,37 +371,18 @@ def _successors(
 
 def _prunable(msc: Msc, model: str) -> bool:
     """True when no extension of this partial behavior can lie in the
-    model class.
+    model class (bag route; asy needs no pruning).
 
     The partial MSC is a happens-before prefix of all its extensions.
-    For the prefix-closed classes (p2p, co, mb) a partial outside the
-    class dooms every extension.  For onen/nn only the persistent edges
-    may be used: matched-to-unmatched constraints can disappear when a
-    pending send is matched later, but succession, matching, and the
-    receive-side orderings survive, so a cycle through them is final.
+    co is prefix closed, so a partial outside it dooms every extension;
+    crowns only ever grow, since happens-before between surviving events
+    persists, so a partial with a crown dooms every rsc extension.
     """
-    if model == "asy":
-        return False
-    if model in ("p2p", "co", "mb"):
+    if model == "co":
         return not membership(msc, model)[0]
     if model == "rsc":
-        # crowns only ever grow: hb between surviving events persists
         return find_crown(msc) is not None
-    edges = set(msc.succ_edges | msc.msg_edges)
-    edges |= _receive_order_edges(relations.onen_rel(msc), msc)
-    if model == "nn":
-        edges |= _receive_order_edges(relations.mb_rel(msc), msc)
-    ok, _ = relations.is_acyclic(RelationGraph.of(msc.events, frozenset(edges)))
-    return not ok
-
-
-def _receive_order_edges(
-    rel: RelationGraph, msc: Msc
-) -> set[tuple[int, int]]:
-    """The clauses of the scheduling relations that persist under
-    extension: those whose both endpoints involve matched messages."""
-    matched = msc.matched_sends | set(msc.rmatching)
-    return {(a, b) for a, b in rel.edges if a in matched and b in matched}
+    return False
 
 
 # -- bounded synchronizability ------------------------------------------------------

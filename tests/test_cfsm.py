@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from msckit import network
 from msckit.cfsm import (
     CfsmSystem,
     Machine,
@@ -10,6 +13,8 @@ from msckit.cfsm import (
 from msckit.classify import classify, membership
 from msckit.core import EMPTY_MSC, Msc, MscError, send
 from msckit.io import parse_cfsm
+
+MODELS = ("asy", "p2p", "co", "mb", "onen", "nn", "rsc")
 
 PING_PONG = """
 machine p: state l0 init; trans l0 -> l1 on ! q ping; trans l1 -> l0 on ? q pong
@@ -25,6 +30,38 @@ SINGLE_SEND = """
 machine p: state a init; trans a -> b on ! q m1
 machine q: state z init
 """
+
+# p also sends to z, which has no machine: those messages stay in flight
+OPEN_PEER = """
+machine p: state a init; trans a -> a on ! z m; trans a -> a on ! q n
+machine q: state b init; trans b -> b on ? p n
+"""
+
+
+def protocol_system(rng: random.Random, procs=("p", "q", "r")) -> CfsmSystem:
+    """Two states per machine, one send to a random peer from each state,
+    and every message sent to a machine receivable in both its states."""
+    sends = {
+        (p, st): (rng.choice([x for x in procs if x != p]), rng.choice("ab"), rng.randrange(2))
+        for p in procs
+        for st in (0, 1)
+    }
+    lines = []
+    for p in procs:
+        inbound = sorted({(s, m) for (s, _), (peer, m, _) in sends.items() if peer == p})
+        stmts = [f"machine {p}: state s0 init", "state s1"]
+        for st in (0, 1):
+            peer, m, dst = sends[(p, st)]
+            stmts.append(f"trans s{st} -> s{dst} on ! {peer} {m}")
+            stmts += [f"trans s{st} -> s{st} on ? {s} {m2}" for s, m2 in inbound]
+        lines.append("; ".join(stmts))
+    return parse_cfsm("\n".join(lines))
+
+
+def differential_systems() -> list[CfsmSystem]:
+    rng = random.Random(2022)
+    named = [parse_cfsm(t) for t in (PING_PONG, BACKCHANNEL, OPEN_PEER)]
+    return named + [protocol_system(rng) for _ in range(20)]
 
 
 def test_machine_rejects_foreign_action():
@@ -50,6 +87,32 @@ def test_find_run_rejects_wrong_word():
     assert find_run(sys_, m) is None
 
 
+def test_find_run_long_line_backtracks():
+    # 2,999 sends of m then one n: the only path loops on a and leaves for
+    # b on the last m; a recursive search would exceed the recursion limit
+    sys_ = parse_cfsm(
+        "machine p: state a init; trans a -> a on ! q m; trans a -> b on ! q m;"
+        " trans b -> b on ! q n\nmachine q: state z init"
+    )
+    labels = [send("p", "q", "m")] * 2999 + [send("p", "q", "n")]
+    m = Msc(("p", "q"), dict(enumerate(labels)), {"p": tuple(range(3000))}, {})
+    run = find_run(sys_, m)
+    assert run is not None
+    assert [run[e][2] for e in range(3000)] == ["a"] * 2998 + ["b", "b"]
+
+
+def test_find_run_rejection_is_not_exponential():
+    # every m-path of length i ends in a or b, 2**i paths in all; none
+    # reads the final n, and the search must not try them one by one
+    sys_ = parse_cfsm(
+        "machine p: state a init; state b; trans a -> a on ! q m; trans a -> b on ! q m;"
+        " trans b -> a on ! q m; trans b -> b on ! q m\nmachine q: state z init"
+    )
+    labels = [send("p", "q", "m")] * 2999 + [send("p", "q", "n")]
+    m = Msc(("p", "q"), dict(enumerate(labels)), {"p": tuple(range(3000))}, {})
+    assert find_run(sys_, m) is None
+
+
 def test_find_run_agrees_with_nfa_simulation():
     # independent subset-construction word acceptance per process line
     sys_ = parse_cfsm(PING_PONG)
@@ -72,6 +135,20 @@ def test_find_run_agrees_with_nfa_simulation():
 def test_explore_no_transitions():
     sys_ = CfsmSystem({"p": Machine("p", ("a",), "a", ())})
     assert [m.events for m in explore(sys_, "asy", 4)] == [()]
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_explore_no_machines(model):
+    # the network routes have no process to build a network on
+    for prune in (True, False):
+        got = list(explore(CfsmSystem({}), model, 4, prune))
+        assert [(m.processes, m.events) for m in got] == [((), ())]
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_explore_horizon_zero(model):
+    for prune in (True, False):
+        assert [m.events for m in explore(parse_cfsm(PING_PONG), model, 0, prune)] == [()]
 
 
 def test_explore_single_send():
@@ -134,6 +211,28 @@ def test_pruning_soundness():
         pruned = {m.canonical() for m in explore(sys_, model, 5)}
         full = {m.canonical() for m in explore(sys_, model, 5, prune=False)}
         assert pruned == full
+
+
+@pytest.mark.parametrize("model", network.KINDS)
+def test_network_route_matches_reference(model):
+    # the network route against the unpruned bag route filtered by
+    # membership: same canonical forms in the same order
+    for sys_ in differential_systems():
+        fast = [m.canonical() for m in explore(sys_, model, 5)]
+        slow = [m.canonical() for m in explore(sys_, model, 5, prune=False)]
+        assert fast == slow
+
+
+@pytest.mark.parametrize("model", network.KINDS)
+def test_network_route_charts_replay(model):
+    # event ids follow the network execution that reached the chart
+    for sys_ in differential_systems():
+        for m in explore(sys_, model, 5):
+            actions = [m.labels[e] for e in m.events]
+            procs = network.full_process_set(actions, m.processes)
+            assert network.run_execution(network.network_for(model, procs), actions).ok
+            back = network.execution_to_msc(actions, model, procs)
+            assert back.isomorphic(m)
 
 
 def test_synch_no_transition_system():
