@@ -15,7 +15,6 @@ suite plays against them.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -25,7 +24,6 @@ from .core import (
     Linearization,
     Msc,
     MscError,
-    RelationGraph,
     enumerate_linearizations,
     extends_hb,
     require_valid,
@@ -175,21 +173,8 @@ def _pair_ok(msc: Msc, s1: int, s2: int, proc_order_receives: bool) -> bool:
 # -- rsc and crowns ------------------------------------------------------------
 
 
-def crown_digraph(msc: Msc) -> RelationGraph:
-    """Digraph on matched sends with an edge s1 -> s2 whenever s1 happens
-    strictly before the receive matching s2."""
-    require_valid(msc)
-    matched = sorted(msc.matched_sends)
-    edges = set()
-    for s1 in matched:
-        for s2 in matched:
-            if s1 != s2 and msc.hb_strict(s1, msc.matching[s2]):
-                edges.add((s1, s2))
-    return RelationGraph.of(matched, edges)
-
-
 def find_crown(msc: Msc) -> Crown | None:
-    cycle = graph.find_cycle(crown_digraph(msc).adjacency())
+    cycle = graph.find_cycle(relations.crown_digraph(msc).adjacency())
     if cycle is None:
         return None
     sends = cycle[:-1]
@@ -451,7 +436,3 @@ def classify(msc: Msc, with_witnesses: bool = True) -> ClassReport:
         if verdicts[smaller] and not verdicts[larger]:
             raise HierarchyViolation(f"{smaller} holds but {larger} does not")
     return ClassReport(verdicts, witnesses, negatives)
-
-
-def report_to_json_text(report: ClassReport) -> str:
-    return json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"

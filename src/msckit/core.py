@@ -215,7 +215,10 @@ class Msc:
 
     @property
     def msg_edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.matching.items())
+        """The message relation: (send, matching receive) pairs."""
+        if "msg" not in self._cache:
+            self._cache["msg"] = frozenset(self.matching.items())
+        return self._cache["msg"]
 
     @property
     def position(self) -> dict[int, tuple[str, int]]:
@@ -408,30 +411,33 @@ def enumerate_linearizations(
         adj[a].append(b)
         indeg[b] += 1
 
-    produced = 0
-    prefix: list[int] = []
+    def walk() -> Iterator[Linearization]:
+        produced = 0
+        prefix: list[int] = []
+        # one iterator per prefix length over the events ready after it
+        frames = [iter(sorted(e for e, d in indeg.items() if d == 0))]
+        while frames:
+            if len(prefix) == len(events):
+                if limit is not None and produced >= limit:
+                    raise LimitExceededError(f"more than {limit} linearizations")
+                produced += 1
+                yield Linearization(tuple(prefix))
+            e = next(frames[-1], None)
+            if e is None:
+                frames.pop()
+                if prefix:
+                    e = prefix.pop()
+                    for f in adj[e]:
+                        indeg[f] += 1
+                    indeg[e] = 0
+                continue
+            del indeg[e]
+            for f in adj[e]:
+                indeg[f] -= 1
+            prefix.append(e)
+            frames.append(iter(sorted(f for f, d in indeg.items() if d == 0)))
 
-    def rec() -> Iterator[Linearization]:
-        nonlocal produced
-        if len(prefix) == len(events):
-            if limit is not None and produced >= limit:
-                raise LimitExceededError(f"more than {limit} linearizations")
-            produced += 1
-            yield Linearization(tuple(prefix))
-            return
-        for e in sorted(indeg):
-            if indeg[e] == 0:
-                del indeg[e]
-                for f in adj[e]:
-                    indeg[f] -= 1
-                prefix.append(e)
-                yield from rec()
-                prefix.pop()
-                for f in adj[e]:
-                    indeg[f] += 1
-                indeg[e] = 0
-
-    return rec()
+    return walk()
 
 
 def extends_hb(msc: Msc, order: Sequence[int]) -> bool:

@@ -40,7 +40,3 @@ def example(name: str) -> Msc:
         )
         _cache[name] = parse_msc(text)
     return _cache[name]
-
-
-def all_examples() -> dict[str, Msc]:
-    return {name: example(name) for name in EXAMPLES}

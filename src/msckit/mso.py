@@ -1,5 +1,5 @@
 """
-Monadic second-order logic over finite MSCs, evaluated by brute force.
+Monadic second-order logic over finite MSCs.
 
 Formulas are built from event relations (process successor, message
 matching), label tests, equality, set membership, boolean connectives,
@@ -7,9 +7,16 @@ and first/second-order quantification.  Transitive closures of definable
 binary relations are first-class: by default they are interpreted
 natively as graph closure, and a ``subset`` evaluation mode replaces
 every closure atom by its second-order encoding (forward-closed sets)
-for cross-validation.  Second-order quantification iterates all event
-subsets, so formulas containing it are guarded by a configurable event
-cap.
+for cross-validation.
+
+:meth:`Evaluator.check` compiles a formula into closures.  Each relation
+atom is materialised once, with successor and predecessor indexes, and
+a block of first-order existentials over a conjunction runs as a join
+along those indexes instead of trying every event for every variable.
+The one-node-at-a-time tree walker ``Evaluator._eval`` is kept as the
+reference the tests compare the compiled path against.  Second-order
+quantification iterates all event subsets, so formulas containing it
+are guarded by a configurable event cap.
 
 ASCII surface syntax (see :func:`parse_formula`):
 
@@ -30,8 +37,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import relations
-from .classify import crown_digraph
+from . import graph, relations
 from .core import Action, Msc, MscError, recv, require_valid, send
 
 DEFAULT_SO_LIMIT = 12
@@ -177,40 +183,47 @@ class RelF(Formula):
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, TrueF):
-        return frozenset()
-    if isinstance(f, NotF):
-        return free_vars(f.body)
-    if isinstance(f, (OrF, AndF, ImpliesF, IffF)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (ExistsF, ForallF)):
-        return free_vars(f.body) - {f.var}
-    if isinstance(f, EqF):
-        return frozenset((f.left, f.right))
-    if isinstance(f, InF):
-        return frozenset((f.element, f.setvar))
-    if isinstance(f, LabelF):
-        return frozenset((f.var,))
-    if isinstance(f, PredF):
-        return frozenset(f.args)
-    if isinstance(f, RelF):
-        return rel_free_vars(f.rel) | {f.left, f.right}
-    raise TypeError(f"unknown formula node {f!r}")
+    return _free(f, {})
 
 
 def rel_free_vars(r: RelExpr) -> frozenset[str]:
-    if isinstance(r, (PrimRel, NamedRel)):
-        return frozenset()
-    if isinstance(r, DefRel):
-        return free_vars(r.body) - {r.xvar, r.yvar}
-    if isinstance(r, UnionRel):
+    return _free(r, {})
+
+
+def _free(node: Formula | RelExpr, memo: dict) -> frozenset[str]:
+    """Free variables of a formula or relation node, memoised in `memo`
+    by node identity (the entry keeps the node alive, so ids stay unique)."""
+    got = memo.get(id(node))
+    if got is not None:
+        return got[1]
+    if isinstance(node, (TrueF, PrimRel, NamedRel)):
         out: frozenset[str] = frozenset()
-        for p in r.parts:
-            out |= rel_free_vars(p)
-        return out
-    if isinstance(r, ClosureRel):
-        return rel_free_vars(r.inner)
-    raise TypeError(f"unknown relation node {r!r}")
+    elif isinstance(node, NotF):
+        out = _free(node.body, memo)
+    elif isinstance(node, (OrF, AndF, ImpliesF, IffF)):
+        out = _free(node.left, memo) | _free(node.right, memo)
+    elif isinstance(node, (ExistsF, ForallF)):
+        out = _free(node.body, memo) - {node.var}
+    elif isinstance(node, EqF):
+        out = frozenset((node.left, node.right))
+    elif isinstance(node, InF):
+        out = frozenset((node.element, node.setvar))
+    elif isinstance(node, LabelF):
+        out = frozenset((node.var,))
+    elif isinstance(node, PredF):
+        out = frozenset(node.args)
+    elif isinstance(node, RelF):
+        out = _free(node.rel, memo) | {node.left, node.right}
+    elif isinstance(node, DefRel):
+        out = _free(node.body, memo) - {node.xvar, node.yvar}
+    elif isinstance(node, UnionRel):
+        out = frozenset().union(*(_free(p, memo) for p in node.parts))
+    elif isinstance(node, ClosureRel):
+        out = _free(node.inner, memo)
+    else:
+        raise TypeError(f"unknown formula or relation node {node!r}")
+    memo[id(node)] = (node, out)
+    return out
 
 
 def _has_so(f: Formula) -> bool:
@@ -272,36 +285,16 @@ class Evaluator:
         self._named: dict[tuple[str, int | None], frozenset[tuple[int, int]]] = {}
         self._materialized: dict[tuple, frozenset[tuple[int, int]]] = {}
 
-    # named relations delegate to the relations module
     def named_edges(self, name: str, k: int | None) -> frozenset[tuple[int, int]]:
+        """Edges of a relation the relations module computes, by name."""
         key = (name, k)
         if key not in self._named:
-            msc = self.msc
-            if name == "mb":
-                edges = relations.mb_rel(msc).edges
-            elif name == "onen":
-                edges = relations.onen_rel(msc).edges
-            elif name == "bowtie":
-                edges = relations.nn_bowtie(msc).edges
-            elif name == "nnrel":
-                edges = relations.nn_rel(msc).edges
-            elif name == "mbp":
-                edges = relations.mb_partial(msc).edges
-            elif name == "onenp":
-                edges = relations.onen_partial(msc).edges
-            elif name == "relb":
-                edges = relations.relb(msc, k or 1).edges
-            elif name == "relbasy":
-                edges = relations.relb_asy(msc, k or 1).edges
-            elif name == "prox":
-                edges = crown_digraph(msc).edges
-            else:
-                raise MscError(f"unknown named relation {name!r}")
-            self._named[key] = edges
+            self._named[key] = relations.named(self.msc, name, k).edges
         return self._named[key]
 
     def check(self, formula: Formula, env: dict | None = None) -> bool:
-        env = dict(env or {})
+        """Compile `formula` (see :class:`_Compiler`) and evaluate it."""
+        env = {v: frozenset(x) if isinstance(x, set) else x for v, x in (env or {}).items()}
         missing = free_vars(formula) - set(env)
         if missing:
             raise MscError(f"unassigned free variables: {sorted(missing)}")
@@ -310,7 +303,11 @@ class Evaluator:
                 raise SoLimitError(
                     f"{len(self.events)} events exceed the second-order cap {self.so_limit}"
                 )
-        return self._eval(formula, env)
+        return _Compiler(self).formula(formula)(env)
+
+    # The tree walker below is the reference the compiled path is tested
+    # against: it evaluates one node per call and tests relations pair by
+    # pair, materialising only the inner relation of a closure.
 
     def _eval(self, f: Formula, env: dict) -> bool:
         if isinstance(f, TrueF):
@@ -480,24 +477,440 @@ def evaluate(
     return Evaluator(msc, so_limit=so_limit, closure_mode=closure_mode).check(formula, env)
 
 
+# -- compiled evaluation ---------------------------------------------------------
+#
+# A compiled formula is a closure taking the environment dict (variable ->
+# event id, or frozenset of ids for a set variable).  Quantifiers bind
+# their variable in that dict and restore the outer value on exit.
+
+
+def _true(env: dict) -> bool:
+    return True
+
+
+def _all(tests: list) -> object:
+    """One closure testing every closure of `tests`, left to right."""
+    tests = [t for t in tests if t is not _true]
+    if not tests:
+        return _true
+    if len(tests) == 1:
+        return tests[0]
+    first, rest = tests[0], _all(tests[1:])
+    return lambda env: first(env) and rest(env)
+
+
+def _save(env: dict, names) -> list:
+    return [(v, env.get(v, _MISSING)) for v in names]
+
+
+def _restore(env: dict, saved: list) -> None:
+    for v, value in saved:
+        if value is _MISSING:
+            env.pop(v, None)
+        else:
+            env[v] = value
+
+
+def _peel_exists(f: Formula) -> tuple[str, Formula] | None:
+    """(variable, body) if `f` is a first-order existential, including
+    in the form ``~A v. phi``, which is ``E v. ~phi``."""
+    if isinstance(f, ExistsF) and not f.second_order:
+        return f.var, f.body
+    if isinstance(f, NotF) and isinstance(f.body, ForallF) and not f.body.second_order:
+        return f.body.var, NotF(f.body.body)
+    return None
+
+
+def _conjuncts(f: Formula, out: list[Formula]) -> None:
+    """Append the conjuncts of `f`, pushing negation through ~, | and =>."""
+    if isinstance(f, AndF):
+        _conjuncts(f.left, out)
+        _conjuncts(f.right, out)
+        return
+    if isinstance(f, NotF):
+        g = f.body
+        if isinstance(g, NotF):
+            _conjuncts(g.body, out)
+            return
+        if isinstance(g, OrF):
+            _conjuncts(NotF(g.left), out)
+            _conjuncts(NotF(g.right), out)
+            return
+        if isinstance(g, ImpliesF):
+            _conjuncts(g.left, out)
+            _conjuncts(NotF(g.right), out)
+            return
+    out.append(f)
+
+
+class _Index:
+    """A materialised relation: its edges and both adjacency maps."""
+
+    __slots__ = ("edges", "succ", "pred")
+
+    def __init__(self, edges):
+        self.edges = frozenset(edges)
+        self.succ: dict[int, list[int]] = {}
+        self.pred: dict[int, list[int]] = {}
+        for a, b in self.edges:
+            self.succ.setdefault(a, []).append(b)
+            self.pred.setdefault(b, []).append(a)
+
+
+class _Rel:
+    """A compiled relation node.  `index(env)` materialises it for the
+    values of its free variables `fv`, once per distinct value tuple.
+    A `lazy` node is tested pair by pair with `holds(env, a, b)` and has
+    no cheap index, so quantifiers never range over it."""
+
+    __slots__ = ("fv", "lazy", "index", "holds")
+
+    def __init__(self, fv: tuple[str, ...], lazy: bool, index, holds):
+        self.fv, self.lazy, self.index, self.holds = fv, lazy, index, holds
+
+
+def _memo(fv: tuple[str, ...], build) -> object:
+    if not fv:
+        once: list[_Index] = []
+
+        def index_once(env: dict) -> _Index:
+            if not once:
+                once.append(_Index(build(env)))
+            return once[0]
+
+        return index_once
+    cache: dict[tuple, _Index] = {}
+
+    def index(env: dict) -> _Index:
+        key = tuple([env[v] for v in fv])
+        got = cache.get(key)
+        if got is None:
+            got = cache[key] = _Index(build(env))
+        return got
+
+    return index
+
+
+# Label predicates of PredF, on the Action of each argument.
+_LABEL_TESTS = {
+    "send": lambda a: a.is_send,
+    "recv": lambda a: not a.is_send,
+    "both_sends": lambda a, b: a.is_send and b.is_send,
+    "both_receives": lambda a, b: not a.is_send and not b.is_send,
+    "same_channel_sends": lambda a, b: a.is_send and b.is_send and a.channel == b.channel,
+    "same_receiver_sends": lambda a, b: a.is_send and b.is_send and a.receiver == b.receiver,
+    "same_sender_sends": lambda a, b: a.is_send and b.is_send and a.sender == b.sender,
+    "same_sender_receives": lambda a, b: not a.is_send and not b.is_send and a.sender == b.sender,
+}
+
+
+class _Compiler:
+    """Compiles formulas for one evaluator into closures ``env -> bool``.
+
+    Every relation atom is materialised once per binding of its free
+    variables into edges plus successor and predecessor maps.  A block of
+    first-order existentials over a conjunction runs as a join: each
+    variable in turn ranges over the neighbours of a bound variable
+    through a relation conjunct where one exists, over all events
+    otherwise, and each other conjunct is tested as soon as its variables
+    are bound.  ``A v. phi`` is ``~E v. ~phi``.  Second-order quantifiers
+    and subset-encoded closures enumerate event sets as `_eval` does.
+    """
+
+    def __init__(self, ev: Evaluator):
+        self.ev = ev
+        self.events = ev.events
+        self.labels = ev.msc.labels
+        self.subset_closures = ev.closure_mode == "subset"
+        self.free: dict[int, tuple] = {}  # the memo of _free
+        self.rels: dict[int, tuple[RelExpr, _Rel]] = {}
+
+    def formula(self, f: Formula):
+        if isinstance(f, TrueF):
+            return _true
+        if isinstance(f, NotF):
+            body = self.formula(f.body)
+            return lambda env: not body(env)
+        if isinstance(f, (OrF, AndF, ImpliesF, IffF)):
+            left, right = self.formula(f.left), self.formula(f.right)
+            if isinstance(f, OrF):
+                return lambda env: left(env) or right(env)
+            if isinstance(f, AndF):
+                return lambda env: left(env) and right(env)
+            if isinstance(f, ImpliesF):
+                return lambda env: not left(env) or right(env)
+            return lambda env: left(env) == right(env)
+        if isinstance(f, ExistsF):
+            return self.exists(f)
+        if isinstance(f, ForallF):
+            return self.formula(NotF(ExistsF(f.var, f.second_order, NotF(f.body))))
+        if isinstance(f, EqF):
+            a, b = f.left, f.right
+            return lambda env: env[a] == env[b]
+        if isinstance(f, InF):
+            a, s = f.element, f.setvar
+            return lambda env: env[a] in env[s]
+        labels = self.labels
+        if isinstance(f, LabelF):
+            v, action = f.var, f.action
+            return lambda env: labels[env[v]] == action
+        if isinstance(f, PredF):
+            if f.name not in _LABEL_TESTS:
+                raise MscError(f"unknown predicate {f.name!r}")
+            test = _LABEL_TESTS[f.name]
+            if len(f.args) == 1:
+                (a,) = f.args
+                return lambda env: test(labels[env[a]])
+            a, b = f.args
+            return lambda env: test(labels[env[a]], labels[env[b]])
+        if isinstance(f, RelF):
+            rel, a, b = self.rel(f.rel), f.left, f.right
+            if rel.lazy:
+                holds = rel.holds
+                return lambda env: holds(env, env[a], env[b])
+            index = rel.index
+            return lambda env: (env[a], env[b]) in index(env).edges
+        raise TypeError(f"unknown formula node {f!r}")
+
+    # -- quantifiers ----------------------------------------------------
+
+    def exists(self, f: ExistsF):
+        if f.second_order:
+            var, body, subsets = f.var, self.formula(f.body), self.ev._subsets
+
+            def some_set(env: dict) -> bool:
+                saved = _save(env, (var,))
+                try:
+                    for value in subsets():
+                        env[var] = value
+                        if body(env):
+                            return True
+                    return False
+                finally:
+                    _restore(env, saved)
+
+            return some_set
+
+        block: list[str] = []
+        body: Formula = f
+        while (peeled := _peel_exists(body)) is not None:
+            block.append(peeled[0])
+            body = peeled[1]
+        conjuncts: list[Formula] = []
+        _conjuncts(body, conjuncts)
+        first, steps = self._plan(block, conjuncts)
+
+        run = _true
+        for var, source, tests in reversed(steps):
+            run = self._bind(var, source, _all(tests + [run]))
+        guard = _all(first)
+
+        def join(env: dict) -> bool:
+            if not guard(env):
+                return False
+            saved = _save(env, block)
+            try:
+                return run(env)
+            finally:
+                _restore(env, saved)
+
+        return join
+
+    def _plan(self, block: list[str], conjuncts: list[Formula]):
+        """Order the block's variables and place each conjunct test.
+
+        Returns the tests that use no block variable, and one step per
+        variable: (variable, its source, tests run once it is bound).  A
+        source (index, other variable, forward) ranges the variable over
+        the successors (forward) or predecessors of the other variable's
+        value in a relation conjunct, which is then implied and not
+        tested.  A variable with no source ranges over all events."""
+        inside = set(block)
+        pending = [(c, _free(c, self.free) & inside) for c in conjuncts]
+        first = [self.formula(c) for c, vs in pending if not vs]
+        pending = [(c, vs) for c, vs in pending if vs]
+        bound: set[str] = set()
+        steps = []
+        remaining = list(block)
+        while remaining:
+            var, source = remaining[0], None
+            for v in remaining:
+                found = self._source(v, pending, bound)
+                if found is not None:
+                    var, (source, used) = v, found
+                    pending.remove(used)
+                    break
+            remaining.remove(var)
+            bound.add(var)
+            ready = [c for c, vs in pending if vs <= bound]
+            pending = [(c, vs) for c, vs in pending if not vs <= bound]
+            steps.append((var, source, [self.formula(c) for c in ready]))
+        return first, steps
+
+    def _source(self, var: str, pending: list, bound: set[str]):
+        for entry in pending:
+            c, vs = entry
+            if not isinstance(c, RelF) or vs - bound != {var} or c.left == c.right:
+                continue
+            rel = self.rel(c.rel)
+            if rel.lazy or var in rel.fv:
+                continue
+            if c.right == var:
+                return (rel.index, c.left, True), entry
+            if c.left == var:
+                return (rel.index, c.right, False), entry
+        return None
+
+    def _bind(self, var: str, source, then):
+        if source is None:
+            events = self.events
+
+            def each_event(env: dict) -> bool:
+                for value in events:
+                    env[var] = value
+                    if then(env):
+                        return True
+                return False
+
+            return each_event
+        index, other, forward = source
+
+        def each_neighbour(env: dict) -> bool:
+            idx = index(env)
+            for value in (idx.succ if forward else idx.pred).get(env[other], ()):
+                env[var] = value
+                if then(env):
+                    return True
+            return False
+
+        return each_neighbour
+
+    # -- relations ------------------------------------------------------
+
+    def rel(self, r: RelExpr) -> _Rel:
+        """The compiled node, shared by every use of the same node object
+        (keyed by identity: hashing a node would walk its whole tree)."""
+        seen = self.rels.get(id(r))
+        if seen is None:
+            seen = self.rels[id(r)] = (r, self._compile_rel(r))
+        return seen[1]
+
+    def _compile_rel(self, r: RelExpr) -> _Rel:
+        fv = tuple(sorted(_free(r, self.free)))
+        events = self.events
+        if isinstance(r, PrimRel):
+            msc = self.ev.msc
+            edges = msc.succ_edges if r.name == "succ" else msc.msg_edges
+            return self._materialised(fv, lambda env: edges)
+        if isinstance(r, NamedRel):
+            named_edges = self.ev.named_edges
+            return self._materialised(fv, lambda env: named_edges(r.name, r.k))
+        if isinstance(r, DefRel):
+            body, x, y = self.formula(r.body), r.xvar, r.yvar
+            if _has_so(r.body) or (self.subset_closures and _has_closure(r.body)):
+
+                def holds(env: dict, a: int, b: int) -> bool:
+                    saved = _save(env, (x, y))
+                    env[x], env[y] = a, b
+                    try:
+                        return body(env)
+                    finally:
+                        _restore(env, saved)
+
+                return self._lazy(fv, holds)
+
+            def pairs(env: dict) -> list[tuple[int, int]]:
+                saved = _save(env, (x, y))
+                try:
+                    out = []
+                    for a in events:
+                        env[x] = a
+                        for b in events:
+                            env[y] = b
+                            if body(env):
+                                out.append((a, b))
+                    return out
+                finally:
+                    _restore(env, saved)
+
+            return self._materialised(fv, pairs)
+        if isinstance(r, UnionRel):
+            parts = [self.rel(p) for p in r.parts]
+            if any(p.lazy for p in parts):
+                return self._lazy(fv, lambda env, a, b: any(p.holds(env, a, b) for p in parts))
+            return self._materialised(
+                fv, lambda env: frozenset().union(*(p.index(env).edges for p in parts))
+            )
+        if isinstance(r, ClosureRel):
+            inner, reflexive = self.rel(r.inner), r.reflexive
+            if self.subset_closures:
+                return self._lazy(
+                    fv,
+                    lambda env, a, b: self._subset_closure(
+                        inner.index(env).edges, reflexive, a, b
+                    ),
+                )
+
+            def closed(env: dict) -> list[tuple[int, int]]:
+                succ = inner.index(env).succ
+                reach = graph.reach({e: succ.get(e, ()) for e in events}, reflexive=reflexive)
+                return [(a, b) for a, bs in reach.items() for b in bs]
+
+            return self._materialised(fv, closed)
+        raise TypeError(f"unknown relation node {r!r}")
+
+    def _materialised(self, fv: tuple[str, ...], build) -> _Rel:
+        index = _memo(fv, build)
+        return _Rel(fv, False, index, lambda env, a, b: (a, b) in index(env).edges)
+
+    def _lazy(self, fv: tuple[str, ...], holds) -> _Rel:
+        events = self.events
+        index = _memo(
+            fv, lambda env: [(a, b) for a in events for b in events if holds(env, a, b)]
+        )
+        return _Rel(fv, True, index, holds)
+
+    def _subset_closure(self, edges, reflexive: bool, e1: int, e2: int) -> bool:
+        """e2 lies in every forward-closed event set that holds e1
+        (reflexive) or the successors of e1 (strict)."""
+        for X in self.ev._subsets():
+            if reflexive and e1 not in X:
+                continue
+            starts = X if reflexive else X | {e1}
+            if e2 not in X and all(t in X for z, t in edges if z in starts):
+                return False
+        return True
+
+
 # -- formula construction helpers ----------------------------------------------
 
 SUCC = PrimRel("succ")
 MSG = PrimRel("msg")
+SUCC_PLUS = ClosureRel(SUCC, reflexive=False)
+SUCC_STAR = ClosureRel(SUCC, reflexive=True)
 HB = ClosureRel(UnionRel((SUCC, MSG)), reflexive=True)
 HB_STRICT = ClosureRel(UnionRel((SUCC, MSG)), reflexive=False)
 
-_fresh_counter = 0
+
+class _Fresh:
+    """Bound-variable names for the helpers building one formula,
+    numbered from 1 and skipping the names in `taken`, so a formula does
+    not depend on what was built before it."""
+
+    def __init__(self, taken=()):
+        self.taken = frozenset(taken)
+        self.count = 0
+
+    def __call__(self, prefix: str = "v") -> str:
+        while True:
+            self.count += 1
+            name = f"_{prefix}{self.count}"
+            if name not in self.taken:
+                return name
 
 
-def _fresh(prefix: str = "v") -> str:
-    global _fresh_counter
-    _fresh_counter += 1
-    return f"_{prefix}{_fresh_counter}"
-
-
-def matched_f(x: str) -> Formula:
-    y = _fresh("m")
+def matched_f(fresh: _Fresh, x: str) -> Formula:
+    y = fresh("m")
     return ExistsF(y, False, RelF(MSG, x, y))
 
 
@@ -521,64 +934,68 @@ def _or(*fs: Formula) -> Formula:
     return out
 
 
-def no_unmatched_f() -> Formula:
-    x = _fresh("u")
-    return NotF(ExistsF(x, False, AndF(PredF("send", (x,)), NotF(matched_f(x)))))
+def no_unmatched_f(fresh: _Fresh) -> Formula:
+    x = fresh("u")
+    return NotF(ExistsF(x, False, AndF(PredF("send", (x,)), NotF(matched_f(fresh, x)))))
 
 
-def _receives_reversed(s1: str, s2: str) -> Formula:
+def _receives_reversed(fresh: _Fresh, s1: str, s2: str) -> Formula:
     """Both matched with receives in the opposite order."""
-    r1, r2 = _fresh("r"), _fresh("r")
+    r1, r2 = fresh("r"), fresh("r")
     return _exists(
         [r1, r2],
         _and(
             RelF(MSG, s1, r1),
             RelF(MSG, s2, r2),
-            RelF(ClosureRel(SUCC, False), r2, r1),
+            RelF(SUCC_PLUS, r2, r1),
         ),
     )
 
 
-def _first_unmatched(s1: str, s2: str) -> Formula:
-    return AndF(NotF(matched_f(s1)), matched_f(s2))
+def _first_unmatched(fresh: _Fresh, s1: str, s2: str) -> Formula:
+    return AndF(NotF(matched_f(fresh, s1)), matched_f(fresh, s2))
 
 
-def mb_edge_rel() -> DefRel:
+def mb_edge_rel(fresh: _Fresh) -> DefRel:
     x, y = "_mbx", "_mby"
-    x2, y2 = _fresh("x"), _fresh("y")
+    x2, y2 = fresh("x"), fresh("y")
     ordered = _exists(
         [x2, y2],
-        _and(RelF(MSG, x, x2), RelF(MSG, y, y2), RelF(ClosureRel(SUCC, False), x2, y2)),
+        _and(RelF(MSG, x, x2), RelF(MSG, y, y2), RelF(SUCC_PLUS, x2, y2)),
     )
     body = AndF(
         PredF("same_receiver_sends", (x, y)),
-        OrF(AndF(matched_f(x), NotF(matched_f(y))), ordered),
+        OrF(AndF(matched_f(fresh, x), NotF(matched_f(fresh, y))), ordered),
     )
     return DefRel(x, y, body)
 
 
-def onen_edge_rel() -> DefRel:
+def onen_edge_rel(fresh: _Fresh) -> DefRel:
     x, y = "_onx", "_ony"
-    x2, y2 = _fresh("x"), _fresh("y")
-    first = _and(PredF("same_sender_sends", (x, y)), matched_f(x), NotF(matched_f(y)))
+    x2, y2 = fresh("x"), fresh("y")
+    first = _and(
+        PredF("same_sender_sends", (x, y)), matched_f(fresh, x), NotF(matched_f(fresh, y))
+    )
     second = AndF(
         PredF("same_sender_receives", (x, y)),
         _exists(
             [x2, y2],
-            _and(RelF(MSG, x2, x), RelF(MSG, y2, y), RelF(ClosureRel(SUCC, False), x2, y2)),
+            _and(RelF(MSG, x2, x), RelF(MSG, y2, y), RelF(SUCC_PLUS, x2, y2)),
         ),
     )
     return DefRel(x, y, OrF(first, second))
 
 
-def nn_rel_expr() -> ClosureRel:
-    return ClosureRel(UnionRel((SUCC, MSG, mb_edge_rel(), onen_edge_rel())), reflexive=False)
+def nn_rel_expr(fresh: _Fresh) -> ClosureRel:
+    return ClosureRel(
+        UnionRel((SUCC, MSG, mb_edge_rel(fresh), onen_edge_rel(fresh))), reflexive=False
+    )
 
 
-def bowtie_rel() -> DefRel:
+def bowtie_rel(fresh: _Fresh) -> DefRel:
     x, y = "_btx", "_bty"
-    nn = nn_rel_expr()
-    x2, y2 = _fresh("x"), _fresh("y")
+    nn = nn_rel_expr(fresh)
+    x2, y2 = fresh("x"), fresh("y")
     psi3 = _and(
         PredF("both_receives", (x, y)),
         _exists(
@@ -587,7 +1004,7 @@ def bowtie_rel() -> DefRel:
         ),
         NotF(RelF(nn, x, y)),
     )
-    x3, y3 = _fresh("x"), _fresh("y")
+    x3, y3 = fresh("x"), fresh("y")
     psi4 = _and(
         PredF("both_sends", (x, y)),
         _exists(
@@ -596,15 +1013,15 @@ def bowtie_rel() -> DefRel:
         ),
         NotF(RelF(nn, x, y)),
     )
-    rule4 = _and(PredF("both_sends", (x, y)), matched_f(x), NotF(matched_f(y)))
+    rule4 = _and(PredF("both_sends", (x, y)), matched_f(fresh, x), NotF(matched_f(fresh, y)))
     return DefRel(x, y, _or(RelF(nn, x, y), rule4, psi3, psi4))
 
 
-def prox_rel() -> DefRel:
+def prox_rel(fresh: _Fresh) -> DefRel:
     """One message sent strictly before another is received; chains of
     this relation closing into a cycle are crowns."""
     x, y = "_pxx", "_pxy"
-    r2 = _fresh("r")
+    r2 = fresh("r")
     body = _and(
         PredF("send", (x,)),
         NotF(EqF(x, y)),
@@ -620,123 +1037,127 @@ def builtin(model: str, delegated: bool = False) -> Formula:
     atoms computed by the relations module; by default they are spelled
     out as defined sub-formulas, mirroring their definitions.
     """
+    return _builtin(_Fresh(), model, delegated)
+
+
+def _builtin(fresh: _Fresh, model: str, delegated: bool = False) -> Formula:
     if model == "asy":
         return TrueF()
     if model == "p2p":
-        s1, s2 = _fresh("s"), _fresh("s")
+        s1, s2 = fresh("s"), fresh("s")
         return NotF(
             _exists(
                 [s1, s2],
                 _and(
                     PredF("same_channel_sends", (s1, s2)),
-                    RelF(ClosureRel(SUCC, False), s1, s2),
-                    OrF(_receives_reversed(s1, s2), _first_unmatched(s1, s2)),
+                    RelF(SUCC_PLUS, s1, s2),
+                    OrF(_receives_reversed(fresh, s1, s2), _first_unmatched(fresh, s1, s2)),
                 ),
             )
         )
     if model == "co":
-        s1, s2 = _fresh("s"), _fresh("s")
+        s1, s2 = fresh("s"), fresh("s")
         return NotF(
             _exists(
                 [s1, s2],
                 _and(
                     PredF("same_receiver_sends", (s1, s2)),
                     RelF(HB, s1, s2),
-                    OrF(_receives_reversed(s1, s2), _first_unmatched(s1, s2)),
+                    OrF(_receives_reversed(fresh, s1, s2), _first_unmatched(fresh, s1, s2)),
                 ),
             )
         )
     if model == "mb":
-        x = _fresh("x")
+        x = fresh("x")
         rel = (
             ClosureRel(UnionRel((SUCC, MSG, NamedRel("mb"))), False)
             if delegated
-            else ClosureRel(UnionRel((SUCC, MSG, mb_edge_rel())), False)
+            else ClosureRel(UnionRel((SUCC, MSG, mb_edge_rel(fresh))), False)
         )
         return NotF(ExistsF(x, False, RelF(rel, x, x)))
     if model == "onen":
-        x = _fresh("x")
+        x = fresh("x")
         rel = (
             ClosureRel(UnionRel((SUCC, MSG, NamedRel("onen"))), False)
             if delegated
-            else ClosureRel(UnionRel((SUCC, MSG, onen_edge_rel())), False)
+            else ClosureRel(UnionRel((SUCC, MSG, onen_edge_rel(fresh))), False)
         )
         return NotF(ExistsF(x, False, RelF(rel, x, x)))
     if model == "nn":
-        x = _fresh("x")
+        x = fresh("x")
         rel = (
             ClosureRel(NamedRel("bowtie"), False)
             if delegated
-            else ClosureRel(bowtie_rel(), False)
+            else ClosureRel(bowtie_rel(fresh), False)
         )
         return NotF(ExistsF(x, False, RelF(rel, x, x)))
     if model == "rsc":
-        s1, s2 = _fresh("s"), _fresh("s")
-        prox = NamedRel("prox") if delegated else prox_rel()
+        s1, s2 = fresh("s"), fresh("s")
+        prox = NamedRel("prox") if delegated else prox_rel(fresh)
         crown = _exists(
             [s1, s2],
             AndF(RelF(prox, s1, s2), RelF(ClosureRel(prox, True), s2, s1)),
         )
         # the class additionally forbids unmatched sends; a lone
         # unmatched send forms no crown, so the conjunct is not redundant
-        return AndF(no_unmatched_f(), NotF(crown))
+        return AndF(no_unmatched_f(fresh), NotF(crown))
     raise ValueError(f"unknown model {model!r}")
 
 
-def relb_rel(k: int) -> DefRel:
+def relb_rel(fresh: _Fresh, k: int) -> DefRel:
     """Under FIFO channels: the i-th receive must precede the (i+k)-th
     send of its channel.  Expressed with k chained same-channel sends."""
     x, y = f"_rbx{k}", f"_rby{k}"
     if k == 0:
         return DefRel(x, y, RelF(MSG, y, x))
-    ss = [_fresh("s") for _ in range(k)]
+    ss = [fresh("s") for _ in range(k)]
     chain = []
     hops = ss + [y]
     for a, b in zip(hops, hops[1:]):
-        chain.append(RelF(ClosureRel(SUCC, False), a, b))
+        chain.append(RelF(SUCC_PLUS, a, b))
         chain.append(PredF("same_channel_sends", (a, b)))
     body = _exists(ss, _and(*chain, RelF(MSG, ss[0], x)))
     return DefRel(x, y, body)
 
 
-def relb_asy_rel(k: int) -> DefRel:
+def relb_asy_rel(fresh: _Fresh, k: int) -> DefRel:
     """k+1 chained same-channel sends, one of them matched, whose first
     receive is the left endpoint."""
     x, y = f"_rax{k}", f"_ray{k}"
-    ss = [_fresh("s") for _ in range(k)]
+    ss = [fresh("s") for _ in range(k)]
     hops = ss + [y]
     parts: list[Formula] = []
     for a, b in zip(hops, hops[1:]):
-        parts.append(RelF(ClosureRel(SUCC, False), a, b))
+        parts.append(RelF(SUCC_PLUS, a, b))
         parts.append(PredF("same_channel_sends", (a, b)))
     if k == 0:
         parts.append(PredF("send", (y,)))
     hits = [RelF(MSG, e, x) for e in hops]
     parts.append(_or(*hits))
     for e in hops:
-        f = _fresh("f")
+        f = fresh("f")
         parts.append(
             ImpliesF(
-                matched_f(e),
+                matched_f(fresh, e),
                 ExistsF(
-                    f, False, AndF(RelF(MSG, e, f), RelF(ClosureRel(SUCC, True), x, f))
+                    f, False, AndF(RelF(MSG, e, f), RelF(SUCC_STAR, x, f))
                 ),
             )
         )
     return DefRel(x, y, _exists(ss, _and(*parts)))
 
 
-def _all_unmatched_chain(k: int) -> Formula:
+def _all_unmatched_chain(fresh: _Fresh, k: int) -> Formula:
     """k+1 chained same-channel sends, all unmatched."""
-    ss = [_fresh("s") for _ in range(k + 1)]
+    ss = [fresh("s") for _ in range(k + 1)]
     parts: list[Formula] = []
     for a, b in zip(ss, ss[1:]):
-        parts.append(RelF(ClosureRel(SUCC, False), a, b))
+        parts.append(RelF(SUCC_PLUS, a, b))
         parts.append(PredF("same_channel_sends", (a, b)))
     if k == 0:
         parts.append(PredF("send", (ss[0],)))
     for s in ss:
-        parts.append(NotF(matched_f(s)))
+        parts.append(NotF(matched_f(fresh, s)))
     return _exists(ss, _and(*parts))
 
 
@@ -744,12 +1165,13 @@ def builtin_bounded(model: str, k: int, universal: bool = False) -> Formula:
     """Formulas for existential/universal k-boundedness per model; the
     model membership formula is conjoined so the result is meaningful on
     arbitrary MSCs."""
-    x = _fresh("x")
+    fresh = _Fresh()
+    x = fresh("x")
     if model == "asy":
-        ra = relb_asy_rel(k)
-        cap = NotF(_all_unmatched_chain(k))
+        ra = relb_asy_rel(fresh, k)
+        cap = NotF(_all_unmatched_chain(fresh, k))
         if universal:
-            r, s = _fresh("r"), _fresh("s")
+            r, s = fresh("r"), fresh("s")
             incl = NotF(_exists([r, s], AndF(RelF(ra, r, s), NotF(RelF(HB, r, s)))))
             return AndF(incl, cap)
         acyclic = NotF(
@@ -757,25 +1179,25 @@ def builtin_bounded(model: str, k: int, universal: bool = False) -> Formula:
         )
         return AndF(acyclic, cap)
 
-    member = builtin(model)
-    rb = relb_rel(k)
-    cap = NotF(_all_unmatched_chain(k))
+    member = _builtin(fresh, model)
+    rb = relb_rel(fresh, k)
+    cap = NotF(_all_unmatched_chain(fresh, k))
     if model in ("p2p", "co"):
         schedule: RelExpr = UnionRel((SUCC, MSG))
         witness: RelExpr = HB
     elif model == "mb":
-        schedule = UnionRel((SUCC, MSG, mb_edge_rel()))
+        schedule = UnionRel((SUCC, MSG, mb_edge_rel(fresh)))
         witness = ClosureRel(schedule, True)
     elif model == "onen":
-        schedule = UnionRel((SUCC, MSG, onen_edge_rel()))
+        schedule = UnionRel((SUCC, MSG, onen_edge_rel(fresh)))
         witness = ClosureRel(schedule, True)
     elif model == "nn":
-        schedule = bowtie_rel()
+        schedule = bowtie_rel(fresh)
         witness = ClosureRel(schedule, False)
     else:
         raise ValueError(f"unknown model {model!r}")
     if universal:
-        r, s = _fresh("r"), _fresh("s")
+        r, s = fresh("r"), fresh("s")
         incl = NotF(_exists([r, s], AndF(RelF(rb, r, s), NotF(RelF(witness, r, s)))))
         return _and(member, incl, cap)
     acyclic = NotF(
@@ -814,7 +1236,11 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_NAMED_RELS = ("mb", "onen", "bowtie", "nnrel", "mbp", "onenp", "prox")
+# Deepest nesting parse_formula accepts.  Every `~`, quantifier, opening
+# parenthesis and binary connective opens a level that lasts until the
+# formula it belongs to ends; the cap keeps parsing and evaluation well
+# inside the interpreter's recursion limit.
+MAX_NESTING = 100
 _PRED_ALIASES = {
     "samechan": "same_channel_sends",
     "samerecv": "same_receiver_sends",
@@ -861,6 +1287,8 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
+        self.fresh = _Fresh(t.text for t in self.tokens if t.kind == "name")
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
@@ -876,6 +1304,15 @@ class _Parser:
             raise MsoSyntaxError(f"expected {kind}, found {tok.text!r}", tok.pos)
         return tok
 
+    def opens(self) -> _Token:
+        """Consume a token that opens a nesting level; each parse method
+        closes the levels it opened before it returns."""
+        tok = self.next()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise MsoSyntaxError(f"formula nested deeper than {MAX_NESTING} levels", tok.pos)
+        return tok
+
     def parse(self) -> Formula:
         f = self.formula()
         tok = self.peek()
@@ -884,55 +1321,72 @@ class _Parser:
         return f
 
     def formula(self) -> Formula:
+        outer = self.depth
         left = self.implication()
         while self.peek().kind == "iff":
-            self.next()
+            self.opens()
             left = IffF(left, self.implication())
+        self.depth = outer
         return left
 
     def implication(self) -> Formula:
+        outer = self.depth
         left = self.disjunction()
         if self.peek().kind == "implies":
-            self.next()
-            return ImpliesF(left, self.implication())
+            self.opens()
+            left = ImpliesF(left, self.implication())
+        self.depth = outer
         return left
 
     def disjunction(self) -> Formula:
+        outer = self.depth
         left = self.conjunction()
         while self.peek().kind == "or":
-            self.next()
+            self.opens()
             left = OrF(left, self.conjunction())
+        self.depth = outer
         return left
 
     def conjunction(self) -> Formula:
+        outer = self.depth
         left = self.unary()
         while self.peek().kind == "and":
-            self.next()
+            self.opens()
             left = AndF(left, self.unary())
+        self.depth = outer
         return left
 
     def unary(self) -> Formula:
+        outer = self.depth
         tok = self.peek()
         if tok.kind == "not":
-            self.next()
-            return NotF(self.unary())
-        if tok.kind == "name" and tok.text in ("E", "A") and self.peek(1).kind == "name":
-            # quantifier if followed by `var .`
-            if self.peek(2).kind == "dot":
-                self.next()
-                var = self.next().text
-                self.next()  # dot
-                body = self.formula()
-                second = var[0].isupper()
-                return ExistsF(var, second, body) if tok.text == "E" else ForallF(var, second, body)
-        return self.atom()
+            self.opens()
+            f: Formula = NotF(self.unary())
+        elif (
+            tok.kind == "name"
+            and tok.text in ("E", "A")
+            and self.peek(1).kind == "name"
+            and self.peek(2).kind == "dot"
+        ):
+            self.opens()
+            var = self.next().text
+            self.next()  # dot
+            body = self.formula()
+            second = var[0].isupper()
+            f = ExistsF(var, second, body) if tok.text == "E" else ForallF(var, second, body)
+        else:
+            return self.atom()
+        self.depth = outer
+        return f
 
     def atom(self) -> Formula:
         tok = self.peek()
         if tok.kind == "lpar":
-            self.next()
+            outer = self.depth
+            self.opens()
             f = self.formula()
             self.expect("rpar")
+            self.depth = outer
             return f
         if tok.kind != "name":
             raise MsoSyntaxError(f"expected an atom, found {tok.text!r}", tok.pos)
@@ -977,11 +1431,11 @@ class _Parser:
         if name == "matched":
             if closure or len(args) != 1:
                 raise MsoSyntaxError("matched takes one variable", name_tok.pos)
-            return matched_f(args[0])
+            return matched_f(self.fresh, args[0])
         if name == "unmatched":
             if closure or len(args) != 1:
                 raise MsoSyntaxError("unmatched takes one variable", name_tok.pos)
-            return AndF(PredF("send", (args[0],)), NotF(matched_f(args[0])))
+            return AndF(PredF("send", (args[0],)), NotF(matched_f(self.fresh, args[0])))
         if name in ("send", "recv"):
             if closure or len(args) != 1:
                 raise MsoSyntaxError(f"{name} takes one variable", name_tok.pos)
@@ -1002,10 +1456,10 @@ class _Parser:
             return MSG
         if name == "succ":
             return SUCC
-        if name in _NAMED_RELS:
+        if name in relations.NAMED and name not in relations.K_INDEXED:
             return NamedRel(name)
-        m = re.fullmatch(r"(relb|relbasy)(\d+)", name)
-        if m:
+        m = re.fullmatch(r"([a-z]+)(\d+)", name)
+        if m and m.group(1) in relations.K_INDEXED:
             return NamedRel(m.group(1), int(m.group(2)))
         raise MsoSyntaxError(f"unknown relation {name!r}", pos)
 
@@ -1028,9 +1482,9 @@ class _Parser:
         if op.kind == "arrow":
             return RelF(SUCC, left, self.expect("name").text)
         if op.kind == "arrowplus":
-            return RelF(ClosureRel(SUCC, False), left, self.expect("name").text)
+            return RelF(SUCC_PLUS, left, self.expect("name").text)
         if op.kind == "arrowstar":
-            return RelF(ClosureRel(SUCC, True), left, self.expect("name").text)
+            return RelF(SUCC_STAR, left, self.expect("name").text)
         if op.kind == "le":
             return RelF(HB, left, self.expect("name").text)
         if op.kind == "lt":

@@ -12,17 +12,20 @@ relations over events:
 * ``nn_bowtie``  the event dependency relation whose acyclicity
   characterises global-FIFO schedulability;
 * ``relb`` / ``relb_asy``  the "receive i before send i+k" constraints
-  of k-bounded channels, in the FIFO and the general form.
+  of k-bounded channels, in the FIFO and the general form;
+* ``crown_digraph``  matched sends ordered by "sent before the other is
+  received", whose cycles are crowns.
 
 Relations are materialized as explicit edge sets.  Closures and cycle
-searches go through :mod:`msckit.graph`, and :data:`SCHEDULING` names the
-relation whose linearizations are exactly a model's candidate schedules.
+searches go through :mod:`msckit.graph`, :data:`SCHEDULING` names the
+relation whose linearizations are exactly a model's candidate schedules,
+and :data:`NAMED` the relations MSO formulas can use as atoms.
 """
 
 from __future__ import annotations
 
 from . import graph
-from .core import Msc, RelationGraph, require_valid
+from .core import Msc, MscError, RelationGraph, require_valid
 
 
 class NotP2pError(Exception):
@@ -159,6 +162,22 @@ def nn_bowtie(msc: Msc) -> RelationGraph:
     return RelationGraph.of(msc.events, edges)
 
 
+# -- crowns -------------------------------------------------------------------
+
+
+def crown_digraph(msc: Msc) -> RelationGraph:
+    """Digraph on matched sends with an edge s1 -> s2 whenever s1 happens
+    strictly before the receive matching s2."""
+    require_valid(msc)
+    matched = sorted(msc.matched_sends)
+    edges = set()
+    for s1 in matched:
+        for s2 in matched:
+            if s1 != s2 and msc.hb_strict(s1, msc.matching[s2]):
+                edges.add((s1, s2))
+    return RelationGraph.of(matched, edges)
+
+
 # -- the scheduling relation of each model -----------------------------------
 
 # A model's linearizations are the linearizations of its scheduling
@@ -181,6 +200,35 @@ def scheduling(msc: Msc, model: str) -> RelationGraph:
     if key not in msc._cache:
         msc._cache[key] = globals()[SCHEDULING[model]](msc)
     return msc._cache[key]
+
+
+# The orderings an MSO formula can name as an atom, e.g. ``mb(x, y)``:
+# atom name -> function name on this module, resolved at call time like
+# SCHEDULING.  Names in K_INDEXED take a bound, written as a suffix
+# (``relb2(x, y)``).
+NAMED = {
+    "mb": "mb_rel",
+    "onen": "onen_rel",
+    "bowtie": "nn_bowtie",
+    "nnrel": "nn_rel",
+    "mbp": "mb_partial",
+    "onenp": "onen_partial",
+    "prox": "crown_digraph",
+    "relb": "relb",
+    "relbasy": "relb_asy",
+}
+K_INDEXED = frozenset({"relb", "relbasy"})
+
+
+def named(msc: Msc, name: str, k: int | None = None) -> RelationGraph:
+    """The relation an MSO atom names; `k` defaults to 1 for the
+    k-indexed ones and is ignored by the others."""
+    if name not in NAMED:
+        raise MscError(f"unknown named relation {name!r}")
+    fn = globals()[NAMED[name]]
+    if name in K_INDEXED:
+        return fn(msc, 1 if k is None else k)
+    return fn(msc)
 
 
 # -- k-bounded channel constraints ----------------------------------------

@@ -109,6 +109,16 @@ def test_mso(capsys, msc_file):
     assert run(capsys, "mso", "--formula", "E x. (", path)[0] == 2
 
 
+@pytest.mark.parametrize(
+    "formula", ["~" * 5000 + "true", "(" * 3000 + "true" + ")" * 3000], ids=["not", "parens"]
+)
+def test_mso_deep_formula_exits_2(capsys, msc_file, formula):
+    code = main(["mso", "--formula", formula, msc_file("blocked")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "nested deeper" in err and "Traceback" not in err
+
+
 def test_exec(tmp_path, capsys):
     trace = tmp_path / "t.trace"
     trace.write_text(

@@ -180,6 +180,28 @@ def test_every_linearization_extends_hb():
             assert extends_hb(m, lin.order)
 
 
+def test_linearizations_come_in_lexicographic_order():
+    # the ascending-id tie-break makes the enumeration lexicographic
+    rng = random.Random(7)
+    for _ in range(50):
+        m = random_msc(rng, max_events=7)
+        orders = [lin.order for lin in enumerate_linearizations(m)]
+        assert orders == sorted(set(orders))
+        assert len(orders) == count_linear_extensions(m.events, m.succ_edges | m.msg_edges)
+
+
+def test_linearization_of_long_chain():
+    m = channel_chain(1000)
+    first = next(enumerate_linearizations(m))
+    assert first.order == tuple(range(2000))
+
+
+def test_msg_edges_memoised():
+    m = example("relay")
+    assert m.msg_edges is m.msg_edges
+    assert m.msg_edges == frozenset(m.matching.items())
+
+
 def test_linearization_limit_signal():
     m = example("two_targets")
     gen = enumerate_linearizations(m, limit=2)
