@@ -69,6 +69,18 @@ def _require_member(msc: Msc, model: str) -> None:
         raise NotInModelError(f"MSC is not {model}")
 
 
+def _implied(msc: Msc, model: str) -> dict[int, frozenset[int]]:
+    """Reachability in the scheduling relation of `model`, memoised on
+    the MSC: happens-before itself for the universal-clause models."""
+    name = relations.SCHEDULING[model]
+    if name == "hb_generators":
+        return msc.hb_reach
+    key = "implied:" + name
+    if key not in msc._cache:
+        msc._cache[key] = graph.reach(relations.scheduling(msc, model).adjacency())
+    return msc._cache[key]
+
+
 def _window_failure(msc: Msc, k: int, model: str, universal: bool) -> dict | None:
     """Why the MSC is not k-bounded for `model`, or None when it is.
 
@@ -92,7 +104,7 @@ def _window_failure(msc: Msc, k: int, model: str, universal: bool) -> dict | Non
     window = (relations.relb_asy(msc, k) if model == "asy" else relations.relb(msc, k)).edges
     sched = relations.scheduling(msc, model)
     if universal:
-        implied = graph.reach(sched.adjacency())
+        implied = _implied(msc, model)
         for r, s in sorted(window):
             if s not in implied[r]:
                 return {"kind": "unforced-window", "receive": r, "send": s}
@@ -187,19 +199,20 @@ def _unit_graph(msc: Msc) -> tuple[list[tuple[int, ...]], dict[int, set[int]], s
     """Unit digraph: weak edges u -> v when some event of u happens
     before some event of v (v cannot be in an earlier factor), strict
     edges when u's receive happens before v's send (v must be strictly
-    later)."""
+    later).  A unit's send happens before everything the unit's events
+    do, so both edge sets are read off happens-before rows: the units
+    of the events the send reaches, and the units whose send the
+    receive reaches."""
     units = _units(msc)
-    weak: dict[int, set[int]] = {i: set() for i in range(len(units))}
+    unit_of = {e: i for i, u in enumerate(units) for e in u}
+    send_unit = {u[0]: i for i, u in enumerate(units)}
+    weak: dict[int, set[int]] = {}
     strict: set[tuple[int, int]] = set()
     for i, u in enumerate(units):
-        for j, v in enumerate(units):
-            if i == j:
-                continue
-            if any(msc.hb_strict(e, f) for e in u for f in v):
-                weak[i].add(j)
-            if len(u) == 2 and msc.hb(u[1], v[0]):
-                strict.add((i, j))
-                weak[i].add(j)
+        weak[i] = {unit_of[f] for f in msc.hb_reach[u[0]]}
+        weak[i].discard(i)
+        if len(u) == 2:
+            strict.update((i, send_unit[f]) for f in msc.hb_reach[u[1]] if f in send_unit)
     return units, weak, strict
 
 

@@ -197,70 +197,64 @@ def is_rsc(msc: Msc) -> tuple[bool, tuple[int, ...] | None]:
 
 
 class NnAlgorithmError(MscError):
-    """The dependency-graph loop got stuck; happens exactly when the
-    event dependency relation is cyclic."""
+    """The global-FIFO linearizer found no admissible event.  It runs on
+    the saturated dependency relation, which is acyclic exactly for nn
+    members, so this is raised for non-members only."""
 
 
 def nn_linearize(msc: Msc) -> Linearization:
-    """Build a global-FIFO linearization from the event dependency graph.
+    """Build a global-FIFO linearization from the event dependency
+    relation, saturated to its least fixpoint
+    (:func:`relations.nn_saturated`).
 
     Loop, with ascending event id breaking every tie:
 
-    1. emit a matched send of in-degree 0;
-    2. else, if no matched send remains, emit an unmatched send of
-       in-degree 0;
+    1. emit a matched send with no pending predecessor;
+    2. else, if no matched send remains, emit such an unmatched send;
     3. else emit the receive of the oldest emitted-but-unreceived
-       message, provided it has in-degree 0;
+       message, provided it has no pending predecessor;
     4. anything else is an error (cyclic dependency relation);
     5. stop once every event is emitted.
 
-    Emitted events leave the graph together with their outgoing edges.
+    The unsaturated :func:`relations.nn_bowtie` can leave step 1 a
+    matched send whose receive a later receive must precede, and then
+    step 3 gets stuck on a member; its fixpoint cannot.
     """
     require_valid(msc)
-    edges = relations.scheduling(msc, "nn").edges
-    out_adj: dict[int, list[int]] = {e: [] for e in msc.events}
-    indeg = {e: 0 for e in msc.events}
-    for a, b in edges:
-        out_adj[a].append(b)
-        indeg[b] += 1
+    saturated = relations.nn_saturated(msc)
+    if saturated is None:
+        raise NnAlgorithmError("dependency relation is cyclic")
+    bits, before = saturated
+    m = len(msc.matching)
+    sends = (1 << m) - 1
+    unmatched = ((1 << len(bits)) - 1) ^ sends ^ (sends << m)
+    left = (1 << len(bits)) - 1  # bits not yet emitted
 
-    remaining = set(msc.events)
-    matched_left = {e for e in msc.matched_sends}
+    def first_ready(candidates: int) -> int | None:
+        while candidates:
+            low = candidates & -candidates
+            i = low.bit_length() - 1
+            if not before[i] & left:
+                return i
+            candidates ^= low
+        return None
+
     fifo: list[int] = []  # matched sends emitted, receive still pending
+    head = 0
     order: list[int] = []
-
-    def emit(e: int) -> None:
-        remaining.discard(e)
-        matched_left.discard(e)
-        for f in out_adj[e]:
-            indeg[f] -= 1
-        order.append(e)
-
-    while remaining:
-        step1 = sorted(
-            e for e in remaining if indeg[e] == 0 and e in msc.matching
-        )
-        if step1:
-            s = step1[0]
-            emit(s)
-            fifo.append(s)
-            continue
-        if not matched_left:
-            step2 = sorted(
-                e
-                for e in remaining
-                if indeg[e] == 0 and msc.labels[e].is_send and e not in msc.matching
-            )
-            if step2:
-                emit(step2[0])
-                continue
-        if fifo:
-            r = msc.matching[fifo[0]]
-            if r in remaining and indeg[r] == 0:
-                emit(r)
-                fifo.pop(0)
-                continue
-        raise NnAlgorithmError("dependency graph has no admissible event; relation is cyclic")
+    while left:
+        pick = first_ready(left & sends)
+        if pick is not None:
+            fifo.append(pick)
+        elif not left & sends:
+            pick = first_ready(left & unmatched)
+        if pick is None and head < len(fifo) and not before[m + fifo[head]] & left:
+            pick = m + fifo[head]
+            head += 1
+        if pick is None:
+            raise NnAlgorithmError("dependency graph has no admissible event; relation is cyclic")
+        left ^= 1 << pick
+        order.append(bits[pick])
 
     return Linearization(tuple(order), ("nn",))
 

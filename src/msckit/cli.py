@@ -202,6 +202,9 @@ def cmd_exec(args) -> int:
 
 
 def cmd_cfsm(args) -> int:
+    if args.cfsm_cmd == "synch" and args.predicate != "weakly-synchronous" and args.k is None:
+        print(f"error: --predicate {args.predicate} needs --k", file=sys.stderr)
+        return 2
     sys_ = load_cfsm(args.system)
     if args.cfsm_cmd == "explore":
         shown = 0
@@ -350,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, mso_mod.MsoSyntaxError, FileNotFoundError) as exc:
+    except (ParseError, mso_mod.MsoSyntaxError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MscError as exc:

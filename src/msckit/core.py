@@ -182,19 +182,31 @@ class Msc:
 
     @property
     def send_events(self) -> tuple[int, ...]:
-        return tuple(e for e in self.events if self.labels[e].is_send)
+        if "sends" not in self._cache:
+            self._cache["sends"] = tuple(e for e in self.events if self.labels[e].is_send)
+        return self._cache["sends"]
 
     @property
     def receive_events(self) -> tuple[int, ...]:
-        return tuple(e for e in self.events if not self.labels[e].is_send)
+        if "receives" not in self._cache:
+            self._cache["receives"] = tuple(
+                e for e in self.events if not self.labels[e].is_send
+            )
+        return self._cache["receives"]
 
     @property
     def matched_sends(self) -> frozenset[int]:
-        return frozenset(self.matching)
+        if "matched" not in self._cache:
+            self._cache["matched"] = frozenset(self.matching)
+        return self._cache["matched"]
 
     @property
     def unmatched_sends(self) -> frozenset[int]:
-        return frozenset(e for e in self.send_events if e not in self.matching)
+        if "unmatched" not in self._cache:
+            self._cache["unmatched"] = frozenset(
+                e for e in self.send_events if e not in self.matching
+            )
+        return self._cache["unmatched"]
 
     @property
     def rmatching(self) -> dict[int, int]:

@@ -112,6 +112,23 @@ def reach(adj: Adjacency, reflexive: bool = False) -> dict[int, frozenset[int]]:
     return out
 
 
+def reach_bits(adj: Adjacency) -> dict[int, int] | None:
+    """For every node, the bitset (bit n for node n) of the nodes
+    reachable along one or more edges; None if the digraph is cyclic.
+    Rows are accumulated in reverse topological order, so each edge
+    costs one integer OR."""
+    order = topo_order(adj)
+    if order is None:
+        return None
+    rows: dict[int, int] = {}
+    for v in reversed(order):
+        row = 0
+        for w in adj[v]:
+            row |= rows[w] | (1 << w)
+        rows[v] = row
+    return rows
+
+
 def find_cycle(adj: Adjacency) -> list[int] | None:
     """A minimal-length cycle as a node list with first == last, or None
     if acyclic.

@@ -245,7 +245,10 @@ def load_msc(path: str) -> Msc:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if path.endswith(".json"):
-        return msc_from_json(json.loads(text))
+        try:
+            return msc_from_json(json.loads(text))
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise ParseError(f"malformed JSON MSC: {exc}") from None
     return parse_msc(text)
 
 

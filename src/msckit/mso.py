@@ -1179,9 +1179,6 @@ def builtin_bounded(model: str, k: int, universal: bool = False) -> Formula:
         )
         return AndF(acyclic, cap)
 
-    member = _builtin(fresh, model)
-    rb = relb_rel(fresh, k)
-    cap = NotF(_all_unmatched_chain(fresh, k))
     if model in ("p2p", "co"):
         schedule: RelExpr = UnionRel((SUCC, MSG))
         witness: RelExpr = HB
@@ -1196,6 +1193,15 @@ def builtin_bounded(model: str, k: int, universal: bool = False) -> Formula:
         witness = ClosureRel(schedule, False)
     else:
         raise ValueError(f"unknown model {model!r}")
+    if model in ("p2p", "co"):
+        member = _builtin(fresh, model)
+    else:
+        # membership is acyclicity of the schedule; built from the same
+        # relation objects, the evaluator materialises each once
+        closed = witness if model == "nn" else ClosureRel(schedule, False)
+        member = NotF(ExistsF(x, False, RelF(closed, x, x)))
+    rb = relb_rel(fresh, k)
+    cap = NotF(_all_unmatched_chain(fresh, k))
     if universal:
         r, s = fresh("r"), fresh("s")
         incl = NotF(_exists([r, s], AndF(RelF(rb, r, s), NotF(RelF(witness, r, s)))))

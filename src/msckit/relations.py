@@ -10,9 +10,16 @@ relations over events:
 * ``onen_rel``   a sender's outgoing messages must be received in send
   order (and its matched sends beat its unmatched ones);
 * ``nn_bowtie``  the event dependency relation whose acyclicity
-  characterises global-FIFO schedulability;
+  characterises global-FIFO schedulability: the closed 1-n and mailbox
+  orderings plus one round of mirror edges, not closed again.  Its
+  edges are the ones membership witnesses and MSO's ``bowtie`` name;
+* ``nn_saturated``  the least fixpoint of ⋈: the same rules applied
+  until nothing changes, on bitset rows.  It has a cycle exactly when
+  ``nn_bowtie`` has one, and the global-FIFO linearizer runs on it;
 * ``relb`` / ``relb_asy``  the "receive i before send i+k" constraints
-  of k-bounded channels, in the FIFO and the general form;
+  of k-bounded channels, in the FIFO and the general form.
+  ``relb_asy`` is decided by counting, in O(s^2) per channel of s
+  sends, and both are memoised per k on the MSC;
 * ``crown_digraph``  matched sends ordered by "sent before the other is
   received", whose cycles are crowns.
 
@@ -28,7 +35,7 @@ from . import graph
 from .core import Msc, MscError, RelationGraph, require_valid
 
 
-class NotP2pError(Exception):
+class NotP2pError(MscError):
     """Raised when a FIFO-indexed construction is applied to a non-FIFO MSC."""
 
 
@@ -124,11 +131,11 @@ def onen_partial(msc: Msc, reflexive: bool = False) -> RelationGraph:
 
 
 def nn_rel(msc: Msc) -> RelationGraph:
-    """Transitive closure of succession, matching, mailbox and 1-n edges."""
+    """Transitive closure of succession, matching, mailbox and 1-n edges
+    (the mb and onen scheduling relations, memoised on the MSC)."""
     return transitive_closure(
         RelationGraph.of(
-            msc.events,
-            msc.succ_edges | msc.msg_edges | mb_rel(msc).edges | onen_rel(msc).edges,
+            msc.events, scheduling(msc, "mb").edges | scheduling(msc, "onen").edges
         )
     )
 
@@ -160,6 +167,52 @@ def nn_bowtie(msc: Msc) -> RelationGraph:
             if (s1, u) not in rel:
                 edges.add((s1, u))
     return RelationGraph.of(msc.events, edges)
+
+
+def nn_saturated(msc: Msc) -> tuple[tuple[int, ...], dict[int, int]] | None:
+    """The least fixpoint of the ⋈ rules, as predecessor bitsets, or
+    None once it turns cyclic.
+
+    Returns the events in bit order and, for every bit, the bits of the
+    events that precede that event.  Bits 0..m-1 are the matched sends
+    in ascending id, bit m+i is the receive of the i-th, and the
+    unmatched sends follow.  Starting from process succession, matching
+    and "every matched send before every unmatched one", the rows are
+    closed in topological order and the mirror rules are added by
+    shifting: sends before the i-th matched send put their receives
+    before its receive, and receives before its receive put their sends
+    before it.  This repeats until no row changes.  The mailbox and 1-n
+    edges are mirror images of process succession, so the fixpoint
+    contains :func:`nn_bowtie`.  Every rule holds in every global-FIFO
+    linearization, so it is acyclic exactly when the MSC is in nn.
+    """
+    require_valid(msc)
+    matched = sorted(msc.matched_sends)
+    m = len(matched)
+    bits = (*matched, *(msc.matching[s] for s in matched), *sorted(msc.unmatched_sends))
+    index = {e: i for i, e in enumerate(bits)}
+    # generator edges reversed: before[i] lists bits that precede bit i
+    before: dict[int, list[int]] = {i: [] for i in range(len(bits))}
+    for a, b in msc.succ_edges | msc.msg_edges:
+        before[index[b]].append(index[a])
+    for u in range(2 * m, len(bits)):
+        before[u].extend(range(m))
+    sends = (1 << m) - 1
+    while True:
+        rows = graph.reach_bits(before)
+        if rows is None:
+            return None
+        grown = False
+        for i in range(m):
+            for v, want in ((m + i, (rows[i] & sends) << m), (i, (rows[m + i] >> m) & sends)):
+                new = want & ~rows[v]
+                grown = grown or bool(new)
+                while new:
+                    low = new & -new
+                    before[v].append(low.bit_length() - 1)
+                    new ^= low
+        if not grown:
+            return bits, rows
 
 
 # -- crowns -------------------------------------------------------------------
@@ -260,50 +313,67 @@ def relb(msc: Msc, k: int) -> RelationGraph:
     """For each channel, an edge from its i-th receive to its (i+k)-th
     send: the receive must be scheduled first in any k-bounded
     linearization.  FIFO channels make the indexing meaningful, so the
-    MSC must satisfy the per-channel FIFO discipline."""
+    MSC must satisfy the per-channel FIFO discipline.  Memoised per k."""
     require_valid(msc)
     if k < 0:
         raise ValueError("k must be >= 0")
-    from .classify import is_p2p
+    from .classify import membership
 
-    ok, witness = is_p2p(msc)
+    ok, witness = membership(msc, "p2p")
     if not ok:
         raise NotP2pError(f"receive indexing needs FIFO channels; offending sends {witness}")
-    edges = set()
-    sends = channel_sends(msc)
-    for ch, recvs in channel_receives(msc).items():
-        ss = sends[ch]
-        for i, r in enumerate(recvs):
-            j = i + k
-            if j < len(ss):
-                edges.add((r, ss[j]))
-    return RelationGraph.of(msc.events, edges)
+    key = f"relb:{k}"
+    if key not in msc._cache:
+        edges = set()
+        sends = channel_sends(msc)
+        for ch, recvs in channel_receives(msc).items():
+            ss = sends[ch]
+            for i, r in enumerate(recvs):
+                j = i + k
+                if j < len(ss):
+                    edges.add((r, ss[j]))
+        msc._cache[key] = RelationGraph.of(msc.events, edges)
+    return msc._cache[key]
 
 
 def relb_asy(msc: Msc, k: int) -> RelationGraph:
     """Order-free variant of :func:`relb`: whenever k+1 sends are chained
     on one channel and at least one is matched, the earliest of their
-    receives must precede the last send."""
+    receives must precede the last send.  Memoised per k.
+
+    Decided by counting rather than by enumerating the (k+1)-subsets:
+    the edge from the receive of t to the send s_j exists iff t is a
+    matched send at or before s_j on the channel, s_j is t or is
+    unmatched or is received after t, and at least k-1 other sends
+    before s_j are unmatched or received after t (k of them when s_j is
+    t).  One running count per (t, j) makes this O(s^2) per channel.
+    """
     require_valid(msc)
     if k < 0:
         raise ValueError("k must be >= 0")
-    from itertools import combinations
-
-    edges = set()
-    for ch, ss in channel_sends(msc).items():
-        if len(ss) < k + 1:
-            continue
-        rpos = {}
-        for s in ss:
-            if s in msc.matching:
-                rpos[s] = msc.position[msc.matching[s]][1]
-        for tup in combinations(ss, k + 1):
-            matched = [s for s in tup if s in rpos]
-            if not matched:
-                continue
-            first = min(matched, key=lambda s: rpos[s])
-            edges.add((msc.matching[first], tup[-1]))
-    return RelationGraph.of(msc.events, edges)
+    key = f"relb_asy:{k}"
+    if key not in msc._cache:
+        edges = []
+        for ss in channel_sends(msc).values():
+            # index of each send's receive on the receiver's line
+            rpos = [msc.position[msc.matching[s]][1] if s in msc.matching else None for s in ss]
+            for i, t in enumerate(ss):
+                if rpos[i] is None:
+                    continue
+                r = msc.matching[t]
+                later = [p is None or p > rpos[i] for p in rpos]
+                count = sum(later[:i])
+                if count >= k:
+                    edges.append((r, t))
+                if k == 0:
+                    continue
+                for j in range(i + 1, len(ss)):
+                    if later[j]:
+                        if count >= k - 1:
+                            edges.append((r, ss[j]))
+                        count += 1
+        msc._cache[key] = RelationGraph.of(msc.events, edges)
+    return msc._cache[key]
 
 
 # -- export ----------------------------------------------------------------

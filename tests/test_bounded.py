@@ -7,6 +7,8 @@ import pytest
 from conftest import channel_chain, random_msc
 from msckit.bounded import (
     BOUNDED_MODELS,
+    _unit_graph,
+    _units,
     DecompositionFailure,
     ExchangeDecomposition,
     bounded_failure_witness,
@@ -113,6 +115,12 @@ def test_exists_forall_match_enumeration():
                 )
 
 
+def test_long_chain_window_is_polynomial():
+    # 200 messages down one channel: C(200, 4) windows by enumeration
+    m = channel_chain(200)
+    assert (exists_k_bounded(m, 3, "asy"), forall_k_bounded(m, 3, "asy")) == (True, False)
+
+
 def test_forall_implies_exists_and_monotonicity():
     rng = random.Random(32)
     for _ in range(120):
@@ -214,6 +222,36 @@ def brute_factorizable(msc, k):
         return False
 
     return rec(frozenset(events))
+
+
+def unit_graph_pairwise(msc):
+    """Reference for the unit graph: every pair of units tested through
+    happens-before."""
+    units = _units(msc)
+    weak = {i: set() for i in range(len(units))}
+    strict = set()
+    for i, u in enumerate(units):
+        for j, v in enumerate(units):
+            if i == j:
+                continue
+            if any(msc.hb_strict(e, f) for e in u for f in v):
+                weak[i].add(j)
+            if len(u) == 2 and msc.hb(u[1], v[0]):
+                strict.add((i, j))
+                weak[i].add(j)
+    return units, weak, strict
+
+
+def test_unit_graph_matches_pairwise():
+    rng = random.Random(35)
+    cases = [random_msc(rng, max_events=12) for _ in range(400)]
+    cases += [example(name) for name in ("producer", "staggered", "train", "pipeline")]
+    strict = 0
+    for m in cases:
+        got = _unit_graph(m)
+        assert got == unit_graph_pairwise(m)
+        strict += len(got[2])
+    assert strict > 400
 
 
 def test_decomposition_matches_brute_force():

@@ -184,8 +184,8 @@ def test_oracle_env_malformed(monkeypatch, raw):
 
 
 # A chart in nn by the relational verdict and by the oracle on which the
-# dependency-graph loop gets stuck: step 1 emits !m0 before !m1, and the
-# loop later finds no admissible event.
+# dependency-graph loop over the unsaturated ⋈ gets stuck: step 1 emits
+# !m0 before !m1, and the loop later finds no admissible event.
 NN_LINEARIZE_STUCK = """\
 processes p q r
 message m0 q r
@@ -200,13 +200,49 @@ order r !m1 !m3 !m5 ?m0 ?m4
 """
 
 
-@pytest.mark.xfail(strict=True, raises=NnAlgorithmError, reason="nn_linearize gets stuck on an nn member")
 def test_nn_linearize_stuck_on_member():
     from msckit.io import parse_msc
 
     m = parse_msc(NN_LINEARIZE_STUCK)
     assert membership(m, "nn")[0] and oracle_membership(m, "nn")
     assert check_linearization(m, nn_linearize(m), "nn")
+
+
+def test_seeded_differential_against_oracle():
+    # verdicts against enumeration, witnesses against their clause and
+    # their network, nn negative cycles against the unsaturated ⋈
+    from msckit.network import (
+        KINDS,
+        execution_to_msc,
+        linearization_to_execution,
+        network_for,
+        run_execution,
+    )
+    from msckit.relations import nn_bowtie
+
+    # chart 493 of this seed is an nn member on which the linearizer got
+    # stuck before ⋈ was saturated
+    rng = random.Random(1)
+    members = dict.fromkeys(MODELS, 0)
+    for _ in range(600):
+        m = random_msc(rng, max_events=10)
+        report = classify(m)
+        for model in MODELS:
+            assert report.verdicts[model] == oracle_membership(m, model), model
+            if not report.verdicts[model]:
+                continue
+            members[model] += 1
+            lin = report.witnesses[model]
+            assert check_linearization(m, lin, model), model
+            if model in KINDS:
+                actions = linearization_to_execution(m, lin)
+                assert run_execution(network_for(model, m.processes), actions).ok, model
+                assert execution_to_msc(actions, model, m.processes).isomorphic(m), model
+        if not report.verdicts["nn"]:
+            cycle = report.negatives["nn"]
+            assert cycle[0] == cycle[-1]
+            assert set(zip(cycle, cycle[1:])) <= nn_bowtie(m).edges
+    assert min(members.values()) > 20
 
 
 def test_classify_empty_all_models():

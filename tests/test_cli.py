@@ -1,9 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import msckit
 from msckit.cli import main
-from msckit.corpus import example
+from msckit.corpus import EXAMPLES, example
 from msckit.io import serialize_msc, serialize_trace
 from msckit.core import send, recv
 
@@ -16,6 +21,9 @@ def msc_file(tmp_path):
         return str(path)
 
     return write
+
+
+SRC = pathlib.Path(msckit.__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -197,3 +205,119 @@ def test_decompose_cap_zero_is_valid(capsys, msc_file):
 def test_usage_error_exit_2(capsys):
     assert main(["linearize"]) == 2
     assert main(["classify", "/nonexistent/file.msc"]) == 2
+
+
+# -- the exit-status contract ---------------------------------------------------
+
+# Every subcommand, with the input file appended last.
+CONTRACT_COMMANDS = [
+    ["validate"],
+    ["classify"],
+    ["--format", "json", "classify"],
+    ["linearize", "--model", "nn"],
+    ["linearize", "--model", "rsc"],
+    ["check-lin", "--model", "p2p", "--lin", "!m1 ?m1"],
+    ["bounded", "--k", "1"],
+    ["bounded", "--k", "2", "--model", "nn", "--universal"],
+    ["decompose", "--k", "1"],
+    ["stw", "--max", "2"],
+    ["mso", "--builtin", "nn"],
+    ["mso", "--formula", "E x. E y. relb1(x, y)"],
+    ["mso", "--formula", "E x. E y. relbasy2(x, y)"],
+    ["exec"],
+    ["exec", "--network", "nn"],
+    ["cfsm", "explore", "--max-events", "3", "--system"],
+    ["cfsm", "synch", "--predicate", "weakly-synchronous", "--max-events", "3", "--system"],
+    ["dot"],
+    ["dot", "--relation", "bowtie"],
+]
+
+MALFORMED = {
+    "garbage.msc": "garbage here\n",
+    "empty.msc": "",
+    "wrong_line.msc": "processes p q\nmessage m1 p q\norder p ?m1\norder q !m1\n",
+    "binary.msc": b"\xff\xfe\x00bad",
+    "bad.json": "{bad",
+    "list.json": "[1, 2]",
+    "fields.json": '{"processes": ["p"], "messages": [{"name": "m"}]}',
+}
+
+
+def assert_contract(capsys, argv) -> int:
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv
+    return code
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_contract_on_corpus(capsys, msc_file, name):
+    path = msc_file(name)
+    for cmd in CONTRACT_COMMANDS:
+        assert_contract(capsys, cmd + [path])
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED) + ["directory", "missing.msc"])
+def test_contract_on_malformed_input(capsys, tmp_path, name):
+    path = tmp_path / name
+    if name == "directory":
+        path.mkdir()
+    elif name in MALFORMED:
+        content = MALFORMED[name]
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+    for cmd in CONTRACT_COMMANDS:
+        code = assert_contract(capsys, cmd + [str(path)])
+        # an empty file is an empty chart, trace and system alike
+        assert code == 2 or name == "empty.msc", (cmd, name)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify"],
+        ["nosuch", "crossing"],
+        ["linearize", "--model", "nosuch", "crossing"],
+        ["bounded", "--k", "abc", "crossing"],
+        ["bounded", "--k", "1", "--model", "rsc", "crossing"],
+        ["bounded", "--k", "1", "--model", "p2p", "crossing"],
+        ["mso", "crossing"],
+        ["mso", "--formula", "E x. E y. relb1(x, y)", "crossing"],
+        ["mso", "--formula", "E x. E y. nosuch(x, y)", "crossing"],
+        ["mso", "--formula", "x = y", "crossing"],
+        ["mso", "--formula", "E X. A x. x in X", "--so-limit", "0", "crossing"],
+        ["check-lin", "--model", "nn", "--lin", "!m1 ?m9", "crossing"],
+        ["check-lin", "--model", "nn", "--lin", "!m1", "crossing"],
+    ],
+)
+def test_bad_arguments_exit_2(capsys, msc_file, argv):
+    if argv[-1] == "crossing":
+        argv = argv[:-1] + [msc_file("crossing")]
+    assert assert_contract(capsys, argv) == 2
+
+
+@pytest.mark.parametrize(
+    "predicate", ["weakly-k-synchronous", "exists-k-bounded", "forall-k-bounded"]
+)
+def test_synch_predicate_without_k_exits_2(capsys, tmp_path, predicate):
+    sysfile = tmp_path / "sys.cfsm"
+    sysfile.write_text("machine p: state a init; trans a -> b on ! q m1\n", encoding="utf-8")
+    argv = ["cfsm", "synch", "--predicate", predicate, "--system", str(sysfile)]
+    assert assert_contract(capsys, argv) == 2
+
+
+def test_not_p2p_formula_exits_2_without_traceback(msc_file):
+    # relb needs FIFO channels; crossing has none
+    argv = ["mso", "--formula", "E x. E y. relb1(x, y)", msc_file("crossing")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "msckit", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")},
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "FIFO" in proc.stderr and "Traceback" not in proc.stderr

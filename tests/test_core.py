@@ -202,6 +202,16 @@ def test_msg_edges_memoised():
     assert m.msg_edges == frozenset(m.matching.items())
 
 
+def test_event_views_memoised():
+    m = example("fanout_lost")
+    for view in ("send_events", "receive_events", "matched_sends", "unmatched_sends"):
+        assert getattr(m, view) is getattr(m, view), view
+    assert m.send_events == tuple(e for e in m.events if m.labels[e].is_send)
+    assert m.receive_events == tuple(e for e in m.events if not m.labels[e].is_send)
+    assert m.matched_sends == frozenset(m.matching)
+    assert m.unmatched_sends == frozenset(m.send_events) - m.matched_sends != frozenset()
+
+
 def test_linearization_limit_signal():
     m = example("two_targets")
     gen = enumerate_linearizations(m, limit=2)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -185,6 +186,35 @@ def test_bounded_formulas_random():
                 else:
                     want = False
                 assert got == want
+
+
+def _ast_nodes(node):
+    """Every AST node object reachable from `node`, each once."""
+    seen, stack = {}, [node]
+    while stack:
+        n = stack.pop()
+        if id(n) in seen:
+            continue
+        seen[id(n)] = n
+        for f in dataclasses.fields(n):
+            value = getattr(n, f.name)
+            children = value if isinstance(value, tuple) else (value,)
+            stack.extend(c for c in children if dataclasses.is_dataclass(c))
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("model, xvar", [("mb", "_mbx"), ("onen", "_onx"), ("nn", "_btx")])
+def test_bounded_formula_builds_its_schedule_once(model, xvar):
+    # the membership conjunct and the schedule share one relation object
+    rng = random.Random(54)
+    charts = [example(f) for f in EXAMPLES if len(example(f).events) <= 6]
+    charts += [random_msc(rng, max_events=7) for _ in range(6)]
+    for universal in (False, True):
+        f = builtin_bounded(model, 1, universal)
+        defined = [n for n in _ast_nodes(f) if isinstance(n, DefRel) and n.xvar == xvar]
+        assert len(defined) == 1
+        for m in charts:
+            assert_agrees(m, f)
 
 
 def test_infix_equality_and_sets():

@@ -1,11 +1,12 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import random_msc
 from msckit import relations
-from msckit.core import Msc, RelationGraph, happens_before, send, recv
-from msckit.corpus import example
+from msckit.core import Msc, MscError, RelationGraph, happens_before, send, recv
+from msckit.corpus import EXAMPLES, example
 
 
 def test_transitive_closure_chain():
@@ -181,6 +182,115 @@ def test_relb_asy_matches_relb_verdicts_on_random_p2p():
                 RelationGraph.of(m.events, hb | relations.relb_asy(m, k).edges)
             )[0]
             assert a == b
+
+
+def relb_asy_by_subsets(msc, k):
+    """Reference for the counting construction: every (k+1)-subset of a
+    channel's sends, in send order, with a matched member puts its
+    earliest receive before its last send."""
+    edges = set()
+    for ss in relations.channel_sends(msc).values():
+        rpos = {s: msc.position[msc.matching[s]][1] for s in ss if s in msc.matching}
+        for tup in itertools.combinations(ss, k + 1):
+            matched = [s for s in tup if s in rpos]
+            if matched:
+                first = min(matched, key=lambda s: rpos[s])
+                edges.add((msc.matching[first], tup[-1]))
+    return edges
+
+
+@pytest.mark.parametrize("procs", [("p", "q"), ("p", "q", "r")], ids=["2p", "3p"])
+def test_relb_asy_matches_subset_enumeration(procs):
+    rng = random.Random(8)
+    unmatched = 0
+    for _ in range(600):
+        m = random_msc(rng, max_events=16, procs=procs)
+        unmatched += bool(m.unmatched_sends)
+        for k in range(5):
+            assert set(relations.relb_asy(m, k).edges) == relb_asy_by_subsets(m, k), k
+    assert unmatched > 150
+
+
+def test_window_relations_memoised_per_k():
+    m = example("producer")
+    for fn in (relations.relb, relations.relb_asy):
+        assert fn(m, 1) is fn(m, 1)
+        assert fn(m, 2) is not fn(m, 1)
+        assert fn(m, 2).edges != fn(m, 1).edges
+
+
+def test_not_p2p_is_an_msc_error():
+    assert issubclass(relations.NotP2pError, MscError)
+
+
+def saturate_by_hand(msc):
+    """Reference for the bitset saturation: from nn_rel, add the mirror
+    and matched-before-unmatched edges, close again, and repeat until
+    nothing changes or an event precedes itself.  The closed edge set,
+    or None when cyclic."""
+    rel = set(relations.nn_rel(msc).edges)
+    while True:
+        if any(a == b for a, b in rel):
+            return None
+        grown = set(rel)
+        for s1, r1 in msc.matching.items():
+            for s2, r2 in msc.matching.items():
+                if (s1, s2) in rel:
+                    grown.add((r1, r2))
+                if (r1, r2) in rel:
+                    grown.add((s1, s2))
+            grown.update((s1, u) for u in msc.unmatched_sends)
+        grown = set(relations.transitive_closure(RelationGraph.of(msc.events, grown)).edges)
+        if grown == rel:
+            return rel
+        rel = grown
+
+
+def saturated_edges(msc):
+    """The edge set of nn_saturated's predecessor rows, or None."""
+    out = relations.nn_saturated(msc)
+    if out is None:
+        return None
+    bits, before = out
+    return {
+        (bits[j], bits[i]) for i, row in before.items() for j in range(len(bits)) if row >> j & 1
+    }
+
+
+def test_saturation_matches_plain_loop():
+    # the fixpoint outgrows nn_bowtie's closure on about 1% of these
+    rng = random.Random(9)
+    cases = [random_msc(rng, max_events=16, procs=("p", "q", "r", "s")) for _ in range(800)]
+    cases += [example(name) for name in EXAMPLES]
+    cyclic = grew = 0
+    for m in cases:
+        want = saturate_by_hand(m)
+        assert saturated_edges(m) == want
+        bowtie = relations.transitive_closure(relations.nn_bowtie(m))
+        if want is None:
+            cyclic += 1
+            assert not relations.is_acyclic(bowtie)[0]
+        else:
+            assert relations.is_acyclic(bowtie)[0]
+            assert bowtie.edges <= want
+            grew += bowtie.edges != want
+    assert cyclic > 50 and grew > 3
+
+
+def test_saturation_adds_the_missing_send_edge():
+    # p: ?m0 ?m4; q: !m0 !m1 ?m2 !m4; r: !m2 !m3(lost) ?m1.  nn_bowtie
+    # lacks !m2 -> !m1, which its fixpoint has.
+    from msckit.io import message_names, parse_msc
+
+    m = parse_msc(
+        "processes p q r\n"
+        "message m0 q p\nmessage m1 q r\nmessage m2 r q\nmessage m3 r q lost\nmessage m4 q p\n"
+        "order p ?m0 ?m4\norder q !m0 !m1 ?m2 !m4\norder r !m2 !m3 ?m1\n"
+    )
+    names = {name: s for s, name in message_names(m).items()}
+    missing = (names["m2"], names["m1"])
+    assert missing not in relations.transitive_closure(relations.nn_bowtie(m)).edges
+    assert missing in saturated_edges(m)
 
 
 def test_hb_contained_in_partials():
