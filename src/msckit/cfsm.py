@@ -80,9 +80,6 @@ class CfsmSystem:
     def processes(self) -> tuple[str, ...]:
         return tuple(self.machines)
 
-    def machine(self, p: str) -> Machine:
-        return self.machines[p]
-
 
 Run = dict[int, Transition]
 

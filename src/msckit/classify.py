@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Sequence
 
 from . import graph, relations
@@ -132,13 +133,15 @@ def format_linearization(msc: Msc, lin: Linearization | Sequence[int]) -> str:
 
 def is_p2p(msc: Msc) -> tuple[bool, tuple[int, int] | None]:
     """Per-channel FIFO: same-channel sends have receives in send order,
-    or the later send is unmatched."""
+    or the later send is unmatched.  The witness is the first violating
+    pair in channel order."""
     require_valid(msc)
-    for ch, sends in relations.channel_sends(msc).items():
-        for i, s1 in enumerate(sends):
-            for s2 in sends[i + 1 :]:
-                if not _pair_ok(msc, s1, s2, proc_order_receives=True):
-                    return (False, (s1, s2))
+    for sends in relations.channel_sends(msc).values():
+        rank = [relations.receive_rank(msc, s) for s in sends]
+        if rank != sorted(rank):
+            for i, j in combinations(range(len(sends)), 2):
+                if rank[j] < rank[i]:
+                    return (False, (sends[i], sends[j]))
     return (True, None)
 
 
@@ -147,27 +150,14 @@ def is_co(msc: Msc) -> tuple[bool, tuple[int, int] | None]:
     happens-before have receives in the same order, or the later send is
     unmatched."""
     require_valid(msc)
-    by_receiver: dict[str, list[int]] = {}
-    for s in msc.send_events:
-        by_receiver.setdefault(msc.labels[s].receiver, []).append(s)
-    for sends in by_receiver.values():
+    for sends in relations.send_groups(msc, "receiver").values():
+        rank = {s: relations.receive_rank(msc, s) for s in sends}
         for s1 in sends:
+            later = msc.hb_reach[s1]
             for s2 in sends:
-                if s1 != s2 and msc.hb(s1, s2):
-                    if not _pair_ok(msc, s1, s2, proc_order_receives=True):
-                        return (False, (s1, s2))
+                if rank[s2] < rank[s1] and s2 in later:
+                    return (False, (s1, s2))
     return (True, None)
-
-
-def _pair_ok(msc: Msc, s1: int, s2: int, proc_order_receives: bool) -> bool:
-    if s2 not in msc.matching:
-        return True
-    if s1 not in msc.matching:
-        return False
-    r1, r2 = msc.matching[s1], msc.matching[s2]
-    if proc_order_receives:
-        return msc.proc_before(r1, r2)
-    return True
 
 
 # -- rsc and crowns ------------------------------------------------------------
@@ -260,26 +250,14 @@ def nn_linearize(msc: Msc) -> Linearization:
 
 
 def rsc_linearize(msc: Msc) -> Linearization:
-    """Schedule that pairs every send with its receive back to back.
-    Exists exactly when the MSC has no unmatched send and no crown."""
+    """Schedule that pairs every send with its receive back to back:
+    the crown digraph's topological order, least send first.  Exists
+    exactly when the MSC has no unmatched send and no crown."""
     require_valid(msc)
-    emitted: set[int] = set()
-    order: list[int] = []
-    pending = sorted(msc.matched_sends)
-    preds = {e: {a for a in msc.events if msc.hb_strict(a, e)} for e in msc.events}
-    while pending:
-        chosen = None
-        for s in pending:
-            r = msc.matching[s]
-            if preds[s] <= emitted and preds[r] <= emitted | {s}:
-                chosen = s
-                break
-        if chosen is None:
-            raise NotInModelError("no synchronous schedule (crown present)")
-        pending.remove(chosen)
-        order.extend((chosen, msc.matching[chosen]))
-        emitted.update((chosen, msc.matching[chosen]))
-    return Linearization(tuple(order), ("rsc",))
+    sends = graph.topo_order(relations.crown_digraph(msc).adjacency())
+    if sends is None or msc.unmatched_sends:
+        raise NotInModelError("no synchronous schedule (crown or unmatched send present)")
+    return Linearization(tuple(e for s in sends for e in (s, msc.matching[s])), ("rsc",))
 
 
 def linearize(msc: Msc, model: str) -> Linearization:
@@ -390,18 +368,14 @@ def membership(msc: Msc, model: str) -> tuple[bool, tuple[int, ...] | None]:
 
 def oracle_membership(msc: Msc, model: str, limit: int | None = None) -> bool:
     """Ground truth by enumeration: some linearization satisfies the
-    model's clause.  The universally-quantified models (asy, p2p, co)
-    are evaluated on their definitional clause directly."""
+    model's clause.  The clauses of asy, p2p and co give the same
+    verdict on every linearization, so those are decided on the first."""
     require_valid(msc)
     cap = oracle_limit() if limit is None else limit
     if len(msc.events) > cap:
         raise OracleLimitError(f"{len(msc.events)} events exceed the oracle cap {cap}")
-    if model == "asy":
-        return True
-    if model == "p2p":
-        return is_p2p(msc)[0]
-    if model == "co":
-        return is_co(msc)[0]
+    if model in ("asy", "p2p", "co"):
+        return check_linearization(msc, next(enumerate_linearizations(msc)), model)
     if model == "rsc" and msc.unmatched_sends:
         # first conjunct of the definition; skips a pointless enumeration
         return False

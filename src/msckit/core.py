@@ -100,9 +100,6 @@ class RelationGraph:
     def of(nodes: Iterable[int], edges: Iterable[tuple[int, int]]) -> "RelationGraph":
         return RelationGraph(frozenset(nodes), frozenset(edges))
 
-    def successors(self, node: int) -> list[int]:
-        return sorted(b for (a, b) in self.edges if a == node)
-
     def has(self, a: int, b: int) -> bool:
         return (a, b) in self.edges
 
@@ -242,9 +239,6 @@ class Msc:
                     pos[e] = (p, i)
             self._cache["position"] = pos
         return self._cache["position"]
-
-    def process_of(self, e: int) -> str:
-        return self.position[e][0]
 
     def proc_before(self, a: int, b: int) -> bool:
         """a ->+ b: strictly earlier on the same process line."""

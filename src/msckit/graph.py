@@ -112,21 +112,26 @@ def reach(adj: Adjacency, reflexive: bool = False) -> dict[int, frozenset[int]]:
     return out
 
 
-def reach_bits(adj: Adjacency) -> dict[int, int] | None:
-    """For every node, the bitset (bit n for node n) of the nodes
-    reachable along one or more edges; None if the digraph is cyclic.
-    Rows are accumulated in reverse topological order, so each edge
-    costs one integer OR."""
-    order = topo_order(adj)
-    if order is None:
-        return None
+def reach_bits(adj: Adjacency) -> dict[int, int]:
+    """:func:`reach` as bitsets (bit n for node n): for every node, the
+    nodes reachable along one or more edges.  Accumulated over the
+    components of :func:`sccs` in the same way, so each edge costs one
+    integer OR.  Every member of a cyclic component is the target of an
+    edge inside it, so a node on a cycle reaches itself."""
     rows: dict[int, int] = {}
-    for v in reversed(order):
-        row = 0
-        for w in adj[v]:
-            row |= rows[w] | (1 << w)
-        rows[v] = row
+    for comp in sccs(adj):
+        acc = 0
+        for v in comp:
+            for w in adj[v]:
+                acc |= rows.get(w, 0) | 1 << w  # no row yet: w is in comp
+        for v in comp:
+            rows[v] = acc
     return rows
+
+
+def bits_of(row: int) -> list[int]:
+    """The positions of the set bits of `row`, ascending."""
+    return [i for i, c in enumerate(reversed(bin(row))) if c == "1"]
 
 
 def find_cycle(adj: Adjacency) -> list[int] | None:

@@ -65,10 +65,6 @@ class NetworkConfig:
             tuple((name, entries if name == qid else old) for name, old in self.queues)
         )
 
-    @property
-    def total_messages(self) -> int:
-        return sum(len(entries) for _, entries in self.queues)
-
 
 def network_for(kind: str, processes: Sequence[str]) -> QueueNetwork:
     """The canonical network of the requested shape over a process set."""
@@ -189,15 +185,12 @@ def execution_to_msc(
         labels[i] = a
         proc_order[a.process].append(i)
         assert net is not None and config is not None
-        if a.is_send:
-            config = step(net, config, a, origin=i)
-        else:
-            qid = net.queue_of(a.sender, a.receiver)
-            entries = config.content(qid)
-            if not entries or entries[0][:3] != (a.sender, a.receiver, a.payload):
-                raise ExecutionRejected(i, a)
-            matching[entries[0][3]] = i
-            config = config._replaced(qid, entries[1:])
+        nxt = step(net, config, a, origin=i)
+        if nxt is None:
+            raise ExecutionRejected(i, a)
+        if not a.is_send:
+            matching[config.content(net.queue_of(a.sender, a.receiver))[0][3]] = i
+        config = nxt
     msc = Msc(procs, labels, proc_order, matching)
     require_valid(msc)
     return msc

@@ -11,11 +11,12 @@ relations over events:
   order (and its matched sends beat its unmatched ones);
 * ``nn_bowtie``  the event dependency relation whose acyclicity
   characterises global-FIFO schedulability: the closed 1-n and mailbox
-  orderings plus one round of mirror edges, not closed again.  Its
+  orderings plus one round of the ⋈ rules, not closed again.  Its
   edges are the ones membership witnesses and MSO's ``bowtie`` name;
-* ``nn_saturated``  the least fixpoint of ⋈: the same rules applied
-  until nothing changes, on bitset rows.  It has a cycle exactly when
-  ``nn_bowtie`` has one, and the global-FIFO linearizer runs on it;
+* ``nn_saturated``  the least fixpoint of ⋈: the same rounds repeated
+  until nothing changes.  It has a cycle exactly when ``nn_bowtie``
+  has one, and the global-FIFO linearizer runs on it.  Both come from
+  one routine on bitset rows, :func:`_bowtie`;
 * ``relb`` / ``relb_asy``  the "receive i before send i+k" constraints
   of k-bounded channels, in the FIFO and the general form.
   ``relb_asy`` is decided by counting, in O(s^2) per channel of s
@@ -23,13 +24,19 @@ relations over events:
 * ``crown_digraph``  matched sends ordered by "sent before the other is
   received", whose cycles are crowns.
 
-Relations are materialized as explicit edge sets.  Closures and cycle
-searches go through :mod:`msckit.graph`, :data:`SCHEDULING` names the
-relation whose linearizations are exactly a model's candidate schedules,
-and :data:`NAMED` the relations MSO formulas can use as atoms.
+Relations are materialized as explicit edge sets.  The send-pair
+relations read one grouping of the sends (:func:`send_groups`, by
+receiver or sender) and sort each group once by rank, rather than test
+every pair on the process lines.  Closures and cycle searches go
+through :mod:`msckit.graph`, :data:`SCHEDULING` names the relation whose
+linearizations are exactly a model's candidate schedules, and
+:data:`NAMED` the relations MSO formulas can use as atoms.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Callable
 
 from . import graph
 from .core import Msc, MscError, RelationGraph, require_valid
@@ -56,6 +63,38 @@ def hb_generators(msc: Msc) -> RelationGraph:
     return RelationGraph.of(msc.events, msc.succ_edges | msc.msg_edges)
 
 
+# -- send groups -----------------------------------------------------------
+
+
+def send_groups(msc: Msc, key: str) -> dict[str, list[int]]:
+    """Send events grouped by their ``sender`` or ``receiver``, groups
+    and their members in ascending id."""
+    out: dict[str, list[int]] = {}
+    for s in msc.send_events:
+        out.setdefault(getattr(msc.labels[s], key), []).append(s)
+    return out
+
+
+def receive_rank(msc: Msc, s: int) -> float:
+    """The index of the receive of send `s` on its line, infinity when
+    `s` is unmatched.  A receiver takes its messages in ascending rank."""
+    return msc.position[msc.matching[s]][1] if s in msc.matching else math.inf
+
+
+def _matched_first(
+    msc: Msc, sends: list[int], rank: Callable[[int], float]
+) -> list[tuple[int, int]]:
+    """The pairs (s1, s2) of `sends` with s1 matched and ranked before s2,
+    where matched sends come in ascending `rank` and unmatched ones last."""
+    ranked = sorted(sends, key=lambda s: (s not in msc.matching, rank(s)))
+    return [
+        (s1, s2)
+        for i, s1 in enumerate(ranked)
+        if s1 in msc.matching
+        for s2 in ranked[i + 1 :]
+    ]
+
+
 # -- mailbox -------------------------------------------------------------
 
 
@@ -63,20 +102,9 @@ def mb_rel(msc: Msc) -> RelationGraph:
     """Edges between sends to a common receiver: matched before
     unmatched, and matched pairs ordered as their receives."""
     require_valid(msc)
-    edges = set()
-    by_receiver: dict[str, list[int]] = {}
-    for s in msc.send_events:
-        by_receiver.setdefault(msc.labels[s].receiver, []).append(s)
-    for sends in by_receiver.values():
-        for s1 in sends:
-            for s2 in sends:
-                if s1 == s2:
-                    continue
-                m1, m2 = s1 in msc.matching, s2 in msc.matching
-                if m1 and not m2:
-                    edges.add((s1, s2))
-                elif m1 and m2 and msc.proc_before(msc.matching[s1], msc.matching[s2]):
-                    edges.add((s1, s2))
+    edges = []
+    for sends in send_groups(msc, "receiver").values():
+        edges += _matched_first(msc, sends, lambda s: receive_rank(msc, s))
     return RelationGraph.of(msc.events, edges)
 
 
@@ -100,20 +128,11 @@ def onen_rel(msc: Msc) -> RelationGraph:
     its unmatched ones, and receives of one sender's messages follow the
     order of the sends."""
     require_valid(msc)
-    edges = set()
-    by_sender: dict[str, list[int]] = {}
-    for s in msc.send_events:
-        by_sender.setdefault(msc.labels[s].sender, []).append(s)
-    for sends in by_sender.values():
-        for s1 in sends:
-            for s2 in sends:
-                if s1 == s2:
-                    continue
-                m1, m2 = s1 in msc.matching, s2 in msc.matching
-                if m1 and not m2:
-                    edges.add((s1, s2))
-                elif m1 and m2 and msc.proc_before(s1, s2):
-                    edges.add((msc.matching[s1], msc.matching[s2]))
+    edges = []
+    match = msc.matching
+    for sends in send_groups(msc, "sender").values():
+        for s1, s2 in _matched_first(msc, sends, lambda s: msc.position[s][1]):
+            edges.append((match[s1], match[s2]) if s2 in match else (s1, s2))
     return RelationGraph.of(msc.events, edges)
 
 
@@ -140,79 +159,76 @@ def nn_rel(msc: Msc) -> RelationGraph:
     )
 
 
-def nn_bowtie(msc: Msc) -> RelationGraph:
-    """The event dependency relation for the global-FIFO model.
+def _bowtie(msc: Msc, saturate: bool) -> tuple[tuple[int, ...], dict[int, int]] | None:
+    """The ⋈ rules on predecessor bitsets: the events in bit order and,
+    for every bit, the bits of the events that precede that event.
 
-    Contains the closed relation from :func:`nn_rel` plus, for pairs not
-    already related there: receive-receive edges mirroring related
-    sends, send-send edges mirroring related receives, and
-    matched-to-unmatched send edges.  These extra edges are not
-    re-closed; acyclicity of the resulting digraph is what matters.
-    """
-    require_valid(msc)
-    rel = nn_rel(msc).edges
-    edges = set(rel)
-    matched = sorted(msc.matched_sends)
-    for s1 in matched:
-        r1 = msc.matching[s1]
-        for s2 in matched:
-            if s1 == s2:
-                continue
-            r2 = msc.matching[s2]
-            if (s1, s2) in rel and (r1, r2) not in rel:
-                edges.add((r1, r2))
-            if (r1, r2) in rel and (s1, s2) not in rel:
-                edges.add((s1, s2))
-        for u in msc.unmatched_sends:
-            if (s1, u) not in rel:
-                edges.add((s1, u))
-    return RelationGraph.of(msc.events, edges)
+    Bits 0..m-1 are the matched sends in ascending id, bit m+i is the
+    receive of the i-th, and the unmatched sends follow, so each mirror
+    rule is one shift.  A round closes the rows and then adds the rules:
+    a send before the i-th matched send puts its receive before the
+    i-th receive, a receive before the i-th receive puts its send before
+    the i-th matched send (self pairs excluded), and every matched send
+    precedes every unmatched one.
 
-
-def nn_saturated(msc: Msc) -> tuple[tuple[int, ...], dict[int, int]] | None:
-    """The least fixpoint of the ⋈ rules, as predecessor bitsets, or
-    None once it turns cyclic.
-
-    Returns the events in bit order and, for every bit, the bits of the
-    events that precede that event.  Bits 0..m-1 are the matched sends
-    in ascending id, bit m+i is the receive of the i-th, and the
-    unmatched sends follow.  Starting from process succession, matching
-    and "every matched send before every unmatched one", the rows are
-    closed in topological order and the mirror rules are added by
-    shifting: sends before the i-th matched send put their receives
-    before its receive, and receives before its receive put their sends
-    before it.  This repeats until no row changes.  The mailbox and 1-n
-    edges are mirror images of process succession, so the fixpoint
-    contains :func:`nn_bowtie`.  Every rule holds in every global-FIFO
-    linearization, so it is acyclic exactly when the MSC is in nn.
+    Without `saturate`, one round is taken from the mb and 1-n
+    scheduling relations, as ⋈ is defined, and its additions are not
+    closed.  With it, rounds start from process succession and matching
+    and repeat until no row grows; None is returned once a closure is
+    cyclic.  The mailbox and 1-n edges are mirror images of process
+    succession or matched-before-unmatched edges, so the fixpoint is the
+    same from either start, and the sparser start closes faster.
     """
     require_valid(msc)
     matched = sorted(msc.matched_sends)
     m = len(matched)
     bits = (*matched, *(msc.matching[s] for s in matched), *sorted(msc.unmatched_sends))
     index = {e: i for i, e in enumerate(bits)}
-    # generator edges reversed: before[i] lists bits that precede bit i
+    # relation edges reversed: before[i] lists bits that precede bit i
     before: dict[int, list[int]] = {i: [] for i in range(len(bits))}
-    for a, b in msc.succ_edges | msc.msg_edges:
+    if saturate:
+        start = msc.succ_edges | msc.msg_edges
+    else:
+        start = scheduling(msc, "mb").edges | scheduling(msc, "onen").edges
+    for a, b in start:
         before[index[b]].append(index[a])
-    for u in range(2 * m, len(bits)):
-        before[u].extend(range(m))
     sends = (1 << m) - 1
     while True:
         rows = graph.reach_bits(before)
-        if rows is None:
+        if saturate and any(row >> i & 1 for i, row in rows.items()):
             return None
-        grown = False
+        added = dict.fromkeys(range(2 * m, len(bits)), sends)
         for i in range(m):
-            for v, want in ((m + i, (rows[i] & sends) << m), (i, (rows[m + i] >> m) & sends)):
-                new = want & ~rows[v]
-                grown = grown or bool(new)
-                while new:
-                    low = new & -new
-                    before[v].append(low.bit_length() - 1)
-                    new ^= low
+            others = sends ^ (1 << i)
+            added[m + i] = (rows[i] & others) << m
+            added[i] = (rows[m + i] >> m) & others
+        if not saturate:
+            return bits, {i: row | added.get(i, 0) for i, row in rows.items()}
+        grown = False
+        for i, want in added.items():
+            new = graph.bits_of(want & ~rows[i])
+            before[i] += new
+            grown = grown or bool(new)
         if not grown:
             return bits, rows
+
+
+def nn_bowtie(msc: Msc) -> RelationGraph:
+    """The event dependency relation for the global-FIFO model: the
+    closed mb and 1-n scheduling relations plus one round of the ⋈ rules
+    (:func:`_bowtie`), not closed again; acyclicity is what matters."""
+    bits, rows = _bowtie(msc, saturate=False)
+    return RelationGraph.of(
+        msc.events, [(bits[j], bits[i]) for i, row in rows.items() for j in graph.bits_of(row)]
+    )
+
+
+def nn_saturated(msc: Msc) -> tuple[tuple[int, ...], dict[int, int]] | None:
+    """The least fixpoint of the ⋈ rules (:func:`_bowtie`), or None once
+    it turns cyclic.  It contains :func:`nn_bowtie`, and every rule holds
+    in every global-FIFO linearization, so it is acyclic exactly when
+    the MSC is in nn."""
+    return _bowtie(msc, saturate=True)
 
 
 # -- crowns -------------------------------------------------------------------
@@ -222,13 +238,11 @@ def crown_digraph(msc: Msc) -> RelationGraph:
     """Digraph on matched sends with an edge s1 -> s2 whenever s1 happens
     strictly before the receive matching s2."""
     require_valid(msc)
-    matched = sorted(msc.matched_sends)
-    edges = set()
-    for s1 in matched:
-        for s2 in matched:
-            if s1 != s2 and msc.hb_strict(s1, msc.matching[s2]):
-                edges.add((s1, s2))
-    return RelationGraph.of(matched, edges)
+    rm = msc.rmatching
+    edges = [
+        (s, rm[e]) for s in msc.matched_sends for e in msc.hb_reach[s] if e in rm and rm[e] != s
+    ]
+    return RelationGraph.of(msc.matched_sends, edges)
 
 
 # -- the scheduling relation of each model -----------------------------------
@@ -355,13 +369,12 @@ def relb_asy(msc: Msc, k: int) -> RelationGraph:
     if key not in msc._cache:
         edges = []
         for ss in channel_sends(msc).values():
-            # index of each send's receive on the receiver's line
-            rpos = [msc.position[msc.matching[s]][1] if s in msc.matching else None for s in ss]
+            rank = [receive_rank(msc, s) for s in ss]
             for i, t in enumerate(ss):
-                if rpos[i] is None:
+                if t not in msc.matching:
                     continue
                 r = msc.matching[t]
-                later = [p is None or p > rpos[i] for p in rpos]
+                later = [p > rank[i] for p in rank]
                 count = sum(later[:i])
                 if count >= k:
                     edges.append((r, t))

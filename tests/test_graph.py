@@ -122,6 +122,18 @@ def test_reach_and_closure_match_fixpoint(reflexive):
         assert closed.edges == want and closed.nodes == frozenset(nodes)
 
 
+def test_reach_bits_matches_reach():
+    cyclic = 0
+    for nodes, edges in random_digraphs(5):
+        adj = adjacency(nodes, edges)
+        reach = graph.reach(adj)
+        rows = graph.reach_bits(adj)
+        assert rows.keys() == reach.keys()
+        assert all(graph.bits_of(rows[n]) == sorted(reach[n]) for n in nodes)
+        cyclic += any(n in reach[n] for n in nodes)
+    assert 20 < cyclic < 130
+
+
 def test_find_cycle_matches_all_starts_search():
     cyclic = 0
     for nodes, edges in random_digraphs(2):

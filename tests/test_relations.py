@@ -261,6 +261,7 @@ def test_saturation_matches_plain_loop():
     # the fixpoint outgrows nn_bowtie's closure on about 1% of these
     rng = random.Random(9)
     cases = [random_msc(rng, max_events=16, procs=("p", "q", "r", "s")) for _ in range(800)]
+    cases += [random_msc(rng, max_events=40, procs=("p", "q", "r", "s")) for _ in range(100)]
     cases += [example(name) for name in EXAMPLES]
     cyclic = grew = 0
     for m in cases:
@@ -369,6 +370,7 @@ def bowtie_by_hand(msc):
 def test_bowtie_matches_independent_reconstruction():
     rng = random.Random(7)
     cases = [random_msc(rng, max_events=7) for _ in range(120)]
+    cases += [random_msc(rng, max_events=40, procs=("p", "q", "r", "s")) for _ in range(60)]
     cases += [example(n) for n in ("pipeline", "late_receive", "handshake", "staggered")]
     for m in cases:
         assert set(relations.nn_bowtie(m).edges) == bowtie_by_hand(m)
@@ -390,3 +392,139 @@ def test_relation_dot_and_edge_list():
     rel = relations.mb_rel(m)
     assert "e1 -> e0" in relations.to_dot(rel, m)
     assert rel.to_edge_list() == "1 0"
+
+
+# Pairwise references for the grouped, rank-ordered send relations and
+# deciders: every pair of sends in a group is tested directly with
+# Msc.proc_before / Msc.hb_strict.
+
+
+def is_p2p_pairwise(msc):
+    for sends in relations.channel_sends(msc).values():
+        for i, s1 in enumerate(sends):
+            for s2 in sends[i + 1 :]:
+                if not receives_in_order(msc, s1, s2):
+                    return (False, (s1, s2))
+    return (True, None)
+
+
+def is_co_pairwise(msc):
+    by_receiver = {}
+    for s in msc.send_events:
+        by_receiver.setdefault(msc.labels[s].receiver, []).append(s)
+    for sends in by_receiver.values():
+        for s1 in sends:
+            for s2 in sends:
+                if msc.hb_strict(s1, s2) and not receives_in_order(msc, s1, s2):
+                    return (False, (s1, s2))
+    return (True, None)
+
+
+def receives_in_order(msc, s1, s2):
+    if s2 not in msc.matching:
+        return True
+    return s1 in msc.matching and msc.proc_before(msc.matching[s1], msc.matching[s2])
+
+
+def pairwise_rel(msc, group, ordered):
+    """Within each group of sends: matched before unmatched, and
+    ordered(s1, s2) for the matched pairs it holds on."""
+    groups = {}
+    for s in msc.send_events:
+        groups.setdefault(group(msc.labels[s]), []).append(s)
+    edges = set()
+    for sends in groups.values():
+        for s1 in sends:
+            for s2 in sends:
+                m1, m2 = s1 in msc.matching, s2 in msc.matching
+                if s1 != s2 and m1 and not m2:
+                    edges.add((s1, s2))
+                elif s1 != s2 and m1 and m2:
+                    edges |= ordered(s1, s2)
+    return edges
+
+
+def mb_rel_pairwise(msc):
+    r = msc.matching
+    return pairwise_rel(
+        msc, lambda a: a.receiver, lambda s1, s2: {(s1, s2)} if msc.proc_before(r[s1], r[s2]) else set()
+    )
+
+
+def onen_rel_pairwise(msc):
+    r = msc.matching
+    return pairwise_rel(
+        msc, lambda a: a.sender, lambda s1, s2: {(r[s1], r[s2])} if msc.proc_before(s1, s2) else set()
+    )
+
+
+def crown_pairwise(msc):
+    return {
+        (s1, s2)
+        for s1 in msc.matched_sends
+        for s2 in msc.matched_sends
+        if s1 != s2 and msc.hb_strict(s1, msc.matching[s2])
+    }
+
+
+def rsc_greedy(msc):
+    """Pair sends with their receives, each time the least pending send
+    whose send and receive have every hb-predecessor emitted; None when
+    stuck."""
+    emitted, order, pending = set(), [], sorted(msc.matched_sends)
+    preds = {e: {a for a in msc.events if msc.hb_strict(a, e)} for e in msc.events}
+    while pending:
+        ready = [
+            s for s in pending if preds[s] <= emitted and preds[msc.matching[s]] <= emitted | {s}
+        ]
+        if not ready:
+            return None
+        pending.remove(ready[0])
+        order += [ready[0], msc.matching[ready[0]]]
+        emitted.update(order[-2:])
+    return tuple(order)
+
+
+def shuffled_ids(msc, rng):
+    """The same chart with its event ids permuted, so that ids need not
+    grow along happens-before."""
+    new = dict(zip(msc.events, rng.sample(range(len(msc.events)), len(msc.events))))
+    return Msc(
+        msc.processes,
+        {new[e]: a for e, a in msc.labels.items()},
+        {p: [new[e] for e in seq] for p, seq in msc.proc_order.items()},
+        {new[s]: new[r] for s, r in msc.matching.items()},
+    )
+
+
+def grouped_cases():
+    rng = random.Random(21)
+    cases = [random_msc(rng, max_events=10) for _ in range(400)]
+    cases += [random_msc(rng, max_events=40, procs=("p", "q", "r", "s")) for _ in range(150)]
+    cases += [shuffled_ids(m, rng) for m in cases[::2]]
+    return cases + [example(name) for name in EXAMPLES]
+
+
+def test_grouped_send_pairs_match_pairwise_loops():
+    from msckit.classify import NotInModelError, is_co, is_p2p, rsc_linearize
+
+    failed = dict.fromkeys(("p2p", "co"), 0)
+    rsc = 0
+    for m in grouped_cases():
+        assert is_p2p(m) == is_p2p_pairwise(m)
+        assert is_co(m) == is_co_pairwise(m)
+        failed["p2p"] += not is_p2p(m)[0]
+        failed["co"] += not is_co(m)[0]
+        assert relations.mb_rel(m).edges == mb_rel_pairwise(m)
+        assert relations.onen_rel(m).edges == onen_rel_pairwise(m)
+        crown = relations.crown_digraph(m)
+        assert crown.edges == crown_pairwise(m) and crown.nodes == m.matched_sends
+        want = None if m.unmatched_sends else rsc_greedy(m)
+        if want is None:
+            with pytest.raises(NotInModelError):
+                rsc_linearize(m)
+        else:
+            rsc += 1
+            assert rsc_linearize(m).order == want
+    # both verdicts, and both rsc outcomes, are exercised
+    assert 50 < failed["p2p"] < 500 and failed["co"] > failed["p2p"] and rsc > 50
