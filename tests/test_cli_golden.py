@@ -5,7 +5,8 @@ compares its stdout and exit code with ``tests/data/cli_golden.json``,
 byte for byte.  The cases cover ``validate``, ``classify`` (text and
 ``--format json``), ``bounded --k {1,2}`` for every bounded model with
 and without ``--universal``, ``decompose`` with and without ``--k 1``,
-and ``dot --relation`` for each exported relation.
+``dot --relation`` for each exported relation, and ``linearize --model``
+and ``mso --builtin`` for each of the seven models.
 
 To re-record after an intended change of output, run from the
 repository root::
@@ -26,6 +27,7 @@ import pathlib
 import pytest
 
 from msckit.bounded import BOUNDED_MODELS
+from msckit.classify import MODELS
 from msckit.cli import main
 from msckit.corpus import EXAMPLES
 
@@ -40,6 +42,8 @@ def _commands() -> list[list[str]]:
             out.append(["bounded", "--k", k, "--model", model, "--universal"])
     out += [["decompose"], ["decompose", "--k", "1"]]
     out += [["dot", "--relation", r] for r in ("hb", "mb", "onen", "bowtie")]
+    for cmd, flag in (("linearize", "--model"), ("mso", "--builtin")):
+        out += [[cmd, flag, m] for m in MODELS]
     return out
 
 
