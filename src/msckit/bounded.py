@@ -27,7 +27,6 @@ from .core import (
     Linearization,
     Msc,
     MscError,
-    RelationGraph,
     extends_hb,
     require_valid,
 )
@@ -69,18 +68,6 @@ def _require_member(msc: Msc, model: str) -> None:
         raise NotInModelError(f"MSC is not {model}")
 
 
-def _implied(msc: Msc, model: str) -> dict[int, frozenset[int]]:
-    """Reachability in the scheduling relation of `model`, memoised on
-    the MSC: happens-before itself for the universal-clause models."""
-    name = relations.SCHEDULING[model]
-    if name == "hb_generators":
-        return msc.hb_reach
-    key = "implied:" + name
-    if key not in msc._cache:
-        msc._cache[key] = graph.reach(relations.scheduling(msc, model).adjacency())
-    return msc._cache[key]
-
-
 def _window_failure(msc: Msc, k: int, model: str, universal: bool) -> dict | None:
     """Why the MSC is not k-bounded for `model`, or None when it is.
 
@@ -101,14 +88,16 @@ def _window_failure(msc: Msc, k: int, model: str, universal: bool) -> dict | Non
     for ch, n in sorted(per_channel.items()):
         if n > k:
             return {"kind": "unmatched-overflow", "channel": list(ch), "unmatched": n}
-    window = (relations.relb_asy(msc, k) if model == "asy" else relations.relb(msc, k)).edges
-    sched = relations.scheduling(msc, model)
+    window = relations.relb_asy(msc, k) if model == "asy" else relations.relb(msc, k)
     if universal:
-        implied = _implied(msc, model)
-        for r, s in sorted(window):
+        if relations.SCHEDULING[model] == "hb_generators":
+            implied = msc.hb_reach  # happens-before: no second closure
+        else:
+            implied = relations.scheduling_closure(msc, model).adjacency()
+        for r, s in sorted(window.edges):
             if s not in implied[r]:
                 return {"kind": "unforced-window", "receive": r, "send": s}
-    ok, cycle = relations.is_acyclic(RelationGraph.of(msc.events, sched.edges | window))
+    ok, cycle = relations.is_acyclic(relations.scheduling(msc, model) | window)
     return None if ok else {"kind": "cycle", "events": list(cycle)}
 
 

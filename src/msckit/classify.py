@@ -349,6 +349,7 @@ def check_linearization(msc: Msc, lin: Linearization | Sequence[int], model: str
 _CLAUSE_DECIDERS = {"asy": lambda msc: (True, None), "p2p": is_p2p, "co": is_co, "rsc": is_rsc}
 
 
+@relations.per_chart
 def membership(msc: Msc, model: str) -> tuple[bool, tuple[int, ...] | None]:
     """Relational membership verdict plus a negative witness, memoised on
     the MSC.  ``mb``, ``onen`` and ``nn`` hold iff the model's scheduling
@@ -356,14 +357,10 @@ def membership(msc: Msc, model: str) -> tuple[bool, tuple[int, ...] | None]:
     models are decided on their clauses."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
-    key = "membership:" + model
-    if key not in msc._cache:
-        if model in _CLAUSE_DECIDERS:
-            msc._cache[key] = _CLAUSE_DECIDERS[model](msc)
-        else:
-            ok, cycle = relations.is_acyclic(relations.scheduling(msc, model))
-            msc._cache[key] = (ok, tuple(cycle) if cycle else None)
-    return msc._cache[key]
+    if model in _CLAUSE_DECIDERS:
+        return _CLAUSE_DECIDERS[model](msc)
+    ok, cycle = relations.is_acyclic(relations.scheduling(msc, model))
+    return (ok, tuple(cycle) if cycle else None)
 
 
 def oracle_membership(msc: Msc, model: str, limit: int | None = None) -> bool:

@@ -241,9 +241,7 @@ def cmd_dot(args) -> int:
     msc = load_msc(args.file)
     if args.relation:
         model, closed = DOT_RELATIONS[args.relation]
-        rel = relations.scheduling(msc, model)
-        if closed:
-            rel = relations.transitive_closure(rel)
+        rel = (relations.scheduling_closure if closed else relations.scheduling)(msc, model)
         print(relations.to_dot(rel, msc, name=args.relation), end="")
     else:
         print(to_dot(msc), end="")

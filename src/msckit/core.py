@@ -17,7 +17,7 @@ than raising.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from . import graph
 
@@ -89,31 +89,69 @@ def recv(p: str, q: str, m: str) -> Action:
     return Action(RECV, p, q, m)
 
 
-@dataclass(frozen=True, slots=True)
-class RelationGraph:
-    """A finite binary relation over event identifiers."""
+def _view(fn):
+    """A property computed on first read, kept in `_cache` under its name."""
+    name = fn.__name__
 
-    nodes: frozenset[int]
-    edges: frozenset[tuple[int, int]]
+    def get(self):
+        if name not in self._cache:
+            self._cache[name] = fn(self)
+        return self._cache[name]
+
+    return property(get, doc=fn.__doc__)
+
+
+class RelationGraph:
+    """A finite binary relation over event identifiers, held as the
+    successor map :mod:`msckit.graph` works on: every node maps to its
+    successors, without repeats, and every successor is a node.  The map
+    is shared, not copied; :meth:`of` builds one from an edge list.
+    Equality and hashing go by the node set and the edge set."""
+
+    __slots__ = ("nodes", "_succ", "_cache")
+
+    def __init__(self, succ: Mapping[int, Collection[int]]):
+        self.nodes = frozenset(succ)
+        self._succ = succ
+        self._cache: dict = {}
 
     @staticmethod
     def of(nodes: Iterable[int], edges: Iterable[tuple[int, int]]) -> "RelationGraph":
-        return RelationGraph(frozenset(nodes), frozenset(edges))
+        """The relation on `nodes` with `edges`, repeats dropped; an edge
+        leaving the nodes raises :class:`ValueError`."""
+        succ: dict[int, set[int]] = {n: set() for n in nodes}
+        for a, b in edges:
+            if a not in succ or b not in succ:
+                raise ValueError(f"edge {(a, b)} has an endpoint that is not a node")
+            succ[a].add(b)
+        return RelationGraph({n: list(bs) for n, bs in succ.items()})
+
+    @_view
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((a, b) for a, bs in self._succ.items() for b in bs)
 
     def has(self, a: int, b: int) -> bool:
         return (a, b) in self.edges
 
-    def adjacency(self) -> dict[int, list[int]]:
-        """Successor lists of every node, the form :mod:`msckit.graph`
-        works on.  Edges must join nodes of the relation."""
-        adj: dict[int, list[int]] = {n: [] for n in self.nodes}
-        for a, b in self.edges:
-            adj[a].append(b)
-        return adj
+    def adjacency(self) -> Mapping[int, Collection[int]]:
+        """The successor map, the form :mod:`msckit.graph` works on."""
+        return self._succ
 
     def to_edge_list(self) -> str:
         """One `a b` pair per line, sorted."""
         return "\n".join(f"{a} {b}" for a, b in sorted(self.edges))
+
+    def __or__(self, other: "RelationGraph") -> "RelationGraph":
+        """The union of two relations on the same nodes."""
+        return RelationGraph({n: {*bs, *other._succ[n]} for n, bs in self._succ.items()})
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RelationGraph):
+            return NotImplemented
+        return self.nodes == other.nodes and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.nodes, self.edges))
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,74 +209,52 @@ class Msc:
 
     # -- basic views ---------------------------------------------------
 
-    @property
+    @_view
     def events(self) -> tuple[int, ...]:
-        if "events" not in self._cache:
-            self._cache["events"] = tuple(sorted(self.labels))
-        return self._cache["events"]
+        return tuple(sorted(self.labels))
 
-    @property
+    @_view
     def send_events(self) -> tuple[int, ...]:
-        if "sends" not in self._cache:
-            self._cache["sends"] = tuple(e for e in self.events if self.labels[e].is_send)
-        return self._cache["sends"]
+        return tuple(e for e in self.events if self.labels[e].is_send)
 
-    @property
+    @_view
     def receive_events(self) -> tuple[int, ...]:
-        if "receives" not in self._cache:
-            self._cache["receives"] = tuple(
-                e for e in self.events if not self.labels[e].is_send
-            )
-        return self._cache["receives"]
+        return tuple(e for e in self.events if not self.labels[e].is_send)
 
-    @property
+    @_view
     def matched_sends(self) -> frozenset[int]:
-        if "matched" not in self._cache:
-            self._cache["matched"] = frozenset(self.matching)
-        return self._cache["matched"]
+        return frozenset(self.matching)
 
-    @property
+    @_view
     def unmatched_sends(self) -> frozenset[int]:
-        if "unmatched" not in self._cache:
-            self._cache["unmatched"] = frozenset(
-                e for e in self.send_events if e not in self.matching
-            )
-        return self._cache["unmatched"]
+        return frozenset(e for e in self.send_events if e not in self.matching)
 
-    @property
+    @_view
     def rmatching(self) -> dict[int, int]:
         """Receive id -> matching send id."""
-        if "rmatching" not in self._cache:
-            self._cache["rmatching"] = {r: s for s, r in self.matching.items()}
-        return self._cache["rmatching"]
+        return {r: s for s, r in self.matching.items()}
 
-    @property
+    @_view
     def succ_edges(self) -> frozenset[tuple[int, int]]:
         """The process relation: immediate successor pairs on each line."""
-        if "succ" not in self._cache:
-            edges = set()
-            for seq in self.proc_order.values():
-                edges.update(zip(seq, seq[1:]))
-            self._cache["succ"] = frozenset(edges)
-        return self._cache["succ"]
+        edges = set()
+        for seq in self.proc_order.values():
+            edges.update(zip(seq, seq[1:]))
+        return frozenset(edges)
 
-    @property
+    @_view
     def msg_edges(self) -> frozenset[tuple[int, int]]:
         """The message relation: (send, matching receive) pairs."""
-        if "msg" not in self._cache:
-            self._cache["msg"] = frozenset(self.matching.items())
-        return self._cache["msg"]
+        return frozenset(self.matching.items())
 
-    @property
+    @_view
     def position(self) -> dict[int, tuple[str, int]]:
         """Event id -> (process, index on that process line)."""
-        if "position" not in self._cache:
-            pos = {}
-            for p, seq in self.proc_order.items():
-                for i, e in enumerate(seq):
-                    pos[e] = (p, i)
-            self._cache["position"] = pos
-        return self._cache["position"]
+        pos = {}
+        for p, seq in self.proc_order.items():
+            for i, e in enumerate(seq):
+                pos[e] = (p, i)
+        return pos
 
     def proc_before(self, a: int, b: int) -> bool:
         """a ->+ b: strictly earlier on the same process line."""
@@ -248,16 +264,12 @@ class Msc:
 
     # -- happens-before ------------------------------------------------
 
-    @property
+    @_view
     def hb_reach(self) -> dict[int, frozenset[int]]:
         """For each event, the set of events reachable through -> and <|
         (reflexive)."""
-        if "hb_reach" not in self._cache:
-            adj: dict[int, list[int]] = {e: [] for e in self.events}
-            for a, b in self.succ_edges | self.msg_edges:
-                adj[a].append(b)
-            self._cache["hb_reach"] = graph.reach(adj, reflexive=True)
-        return self._cache["hb_reach"]
+        generators = RelationGraph.of(self.events, self.succ_edges | self.msg_edges)
+        return graph.reach(generators.adjacency(), reflexive=True)
 
     def hb(self, a: int, b: int) -> bool:
         """a <= b in the happens-before partial order (reflexive)."""
@@ -364,11 +376,11 @@ def validate(msc: Msc) -> ValidationReport:
     # matching is a dict, so a send cannot be matched twice; flag receives
     # hit twice (an injectivity failure) under 2b above.
 
-    adj: dict[int, list[int]] = {e: [] for e in msc.events}
-    for a, b in msc.succ_edges | msc.msg_edges:
-        if a in adj and b in adj:
-            adj[a].append(b)
-    cycle = graph.find_cycle(adj)
+    known = msc.labels
+    generators = RelationGraph.of(
+        known, ((a, b) for a, b in msc.succ_edges | msc.msg_edges if a in known and b in known)
+    )
+    cycle = graph.find_cycle(generators.adjacency())
     if cycle is not None:
         out.append(Violation("3", tuple(cycle), "happens-before is not a partial order"))
 
@@ -393,11 +405,7 @@ def require_valid(msc: Msc) -> None:
 def happens_before(msc: Msc) -> RelationGraph:
     """The reflexive-transitive closure of process succession and matching."""
     require_valid(msc)
-    edges = set()
-    for e, reach in msc.hb_reach.items():
-        for f in reach:
-            edges.add((e, f))
-    return RelationGraph.of(msc.events, edges)
+    return RelationGraph(msc.hb_reach)
 
 
 def enumerate_linearizations(
@@ -411,11 +419,11 @@ def enumerate_linearizations(
     """
     require_valid(msc)
     events = list(msc.events)
-    adj: dict[int, list[int]] = {e: [] for e in events}
+    adj = RelationGraph.of(events, msc.succ_edges | msc.msg_edges).adjacency()
     indeg = {e: 0 for e in events}
-    for a, b in msc.succ_edges | msc.msg_edges:
-        adj[a].append(b)
-        indeg[b] += 1
+    for succs in adj.values():
+        for f in succs:
+            indeg[f] += 1
 
     def walk() -> Iterator[Linearization]:
         produced = 0
@@ -502,9 +510,8 @@ def prefix(msc: Msc, keep: Iterable[int], closure: str = "hb") -> Msc:
     from . import relations
 
     model, closed = _PREFIX_RELATIONS[closure]
-    succ = relations.scheduling(msc, model).adjacency()
-    if closed:
-        succ = graph.reach(succ)
+    relation = relations.scheduling_closure if closed else relations.scheduling
+    succ = relation(msc, model).adjacency()
     for a in sorted(succ):
         if a not in keep:
             above = [b for b in succ[a] if b in keep]
@@ -525,9 +532,7 @@ def hb_prefixes(msc: Msc) -> Iterator[frozenset[int]]:
 def _downward_closed_sets(
     events: Sequence[int], rel: frozenset[tuple[int, int]]
 ) -> Iterator[frozenset[int]]:
-    preds: dict[int, frozenset[int]] = {
-        e: frozenset(a for (a, b) in rel if b == e and a != e) for e in events
-    }
+    preds = RelationGraph.of(events, ((b, a) for a, b in rel if a != b)).adjacency()
     seen: set[frozenset[int]] = set()
     frontier = [frozenset()]
     seen.add(frozenset())
@@ -536,7 +541,7 @@ def _downward_closed_sets(
         for cur in frontier:
             yield cur
             for e in events:
-                if e not in cur and preds[e] <= cur:
+                if e not in cur and cur.issuperset(preds[e]):
                     ext = cur | {e}
                     if ext not in seen:
                         seen.add(ext)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import graph, relations
-from .core import Action, Msc, MscError, recv, require_valid, send
+from .core import Action, Msc, MscError, RelationGraph, recv, require_valid, send
 
 DEFAULT_SO_LIMIT = 12
 
@@ -282,15 +282,11 @@ class Evaluator:
         self.events = list(msc.events)
         self.so_limit = so_limit
         self.closure_mode = closure_mode
-        self._named: dict[tuple[str, int | None], frozenset[tuple[int, int]]] = {}
         self._materialized: dict[tuple, frozenset[tuple[int, int]]] = {}
 
     def named_edges(self, name: str, k: int | None) -> frozenset[tuple[int, int]]:
         """Edges of a relation the relations module computes, by name."""
-        key = (name, k)
-        if key not in self._named:
-            self._named[key] = relations.named(self.msc, name, k).edges
-        return self._named[key]
+        return relations.named(self.msc, name, k).edges
 
     def check(self, formula: Formula, env: dict | None = None) -> bool:
         """Compile `formula` (see :class:`_Compiler`) and evaluate it."""
@@ -432,13 +428,8 @@ class Evaluator:
     def _closure_edges(self, r: ClosureRel, env: dict) -> frozenset[tuple[int, int]]:
         key = (r, self._env_signature(r, env))
         if key not in self._materialized:
-            base = self._edges_of(r.inner, env)
-            from .core import RelationGraph
-
-            closed = relations.transitive_closure(
-                RelationGraph.of(self.events, base), reflexive=r.reflexive
-            ).edges
-            self._materialized[key] = closed
+            base = RelationGraph.of(self.events, self._edges_of(r.inner, env))
+            self._materialized[key] = relations.transitive_closure(base, r.reflexive).edges
         return self._materialized[key]
 
     def _closure_by_subsets(self, r: ClosureRel, e1: int, e2: int, env: dict) -> bool:

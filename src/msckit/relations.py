@@ -20,21 +20,25 @@ relations over events:
 * ``relb`` / ``relb_asy``  the "receive i before send i+k" constraints
   of k-bounded channels, in the FIFO and the general form.
   ``relb_asy`` is decided by counting, in O(s^2) per channel of s
-  sends, and both are memoised per k on the MSC;
+  sends;
 * ``crown_digraph``  matched sends ordered by "sent before the other is
   received", whose cycles are crowns.
 
-Relations are materialized as explicit edge sets.  The send-pair
+Relations are successor maps (:class:`RelationGraph`), searched by
+:mod:`msckit.graph`; closures, ⋈ and the crown digraph hand over the
+rows they compute, with no edge set in between.  The send-pair
 relations read one grouping of the sends (:func:`send_groups`, by
-receiver or sender) and sort each group once by rank, rather than test
-every pair on the process lines.  Closures and cycle searches go
-through :mod:`msckit.graph`, :data:`SCHEDULING` names the relation whose
-linearizations are exactly a model's candidate schedules, and
-:data:`NAMED` the relations MSO formulas can use as atoms.
+receiver or sender) and sort each group once by rank.  Every producer
+is memoised on the MSC by :func:`per_chart`, so a chart builds each
+relation once.  :data:`SCHEDULING` names the relation whose
+linearizations are exactly a model's candidate schedules,
+:func:`scheduling_closure` its closure, and :data:`NAMED` the
+relations MSO formulas can use as atoms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -46,10 +50,22 @@ class NotP2pError(MscError):
     """Raised when a FIFO-indexed construction is applied to a non-FIFO MSC."""
 
 
+def per_chart(fn: Callable) -> Callable:
+    """Memoise `fn(msc, *args)` on the MSC, per argument tuple."""
+
+    @functools.wraps(fn)
+    def memo(msc: Msc, *args):
+        key = (fn.__name__, *args)
+        if key not in msc._cache:
+            msc._cache[key] = fn(msc, *args)
+        return msc._cache[key]
+
+    return memo
+
+
 def transitive_closure(r: RelationGraph, reflexive: bool = False) -> RelationGraph:
     """Standard transitive closure; with `reflexive`, adds all loops."""
-    reach = graph.reach(r.adjacency(), reflexive=reflexive)
-    return RelationGraph.of(r.nodes, ((a, b) for a, bs in reach.items() for b in bs))
+    return RelationGraph(graph.reach(r.adjacency(), reflexive=reflexive))
 
 
 def is_acyclic(r: RelationGraph) -> tuple[bool, list[int] | None]:
@@ -58,6 +74,7 @@ def is_acyclic(r: RelationGraph) -> tuple[bool, list[int] | None]:
     return (cycle is None, cycle)
 
 
+@per_chart
 def hb_generators(msc: Msc) -> RelationGraph:
     """Process succession and matching, unclosed."""
     return RelationGraph.of(msc.events, msc.succ_edges | msc.msg_edges)
@@ -98,6 +115,7 @@ def _matched_first(
 # -- mailbox -------------------------------------------------------------
 
 
+@per_chart
 def mb_rel(msc: Msc) -> RelationGraph:
     """Edges between sends to a common receiver: matched before
     unmatched, and matched pairs ordered as their receives."""
@@ -108,21 +126,21 @@ def mb_rel(msc: Msc) -> RelationGraph:
     return RelationGraph.of(msc.events, edges)
 
 
+@per_chart
 def mb_generators(msc: Msc) -> RelationGraph:
     """Process succession, matching, and the mailbox ordering, unclosed."""
-    return RelationGraph.of(
-        msc.events, msc.succ_edges | msc.msg_edges | mb_rel(msc).edges
-    )
+    return hb_generators(msc) | mb_rel(msc)
 
 
-def mb_partial(msc: Msc, reflexive: bool = False) -> RelationGraph:
-    """Transitive closure of the mailbox generators (strict by default)."""
-    return transitive_closure(mb_generators(msc), reflexive=reflexive)
+def mb_partial(msc: Msc) -> RelationGraph:
+    """Strict transitive closure of the mailbox generators."""
+    return scheduling_closure(msc, "mb")
 
 
 # -- 1-n -----------------------------------------------------------------
 
 
+@per_chart
 def onen_rel(msc: Msc) -> RelationGraph:
     """Edges forced by per-sender FIFO: a sender's matched sends precede
     its unmatched ones, and receives of one sender's messages follow the
@@ -136,27 +154,23 @@ def onen_rel(msc: Msc) -> RelationGraph:
     return RelationGraph.of(msc.events, edges)
 
 
+@per_chart
 def onen_generators(msc: Msc) -> RelationGraph:
-    return RelationGraph.of(
-        msc.events, msc.succ_edges | msc.msg_edges | onen_rel(msc).edges
-    )
+    return hb_generators(msc) | onen_rel(msc)
 
 
-def onen_partial(msc: Msc, reflexive: bool = False) -> RelationGraph:
-    return transitive_closure(onen_generators(msc), reflexive=reflexive)
+def onen_partial(msc: Msc) -> RelationGraph:
+    return scheduling_closure(msc, "onen")
 
 
 # -- n-n -----------------------------------------------------------------
 
 
+@per_chart
 def nn_rel(msc: Msc) -> RelationGraph:
     """Transitive closure of succession, matching, mailbox and 1-n edges
-    (the mb and onen scheduling relations, memoised on the MSC)."""
-    return transitive_closure(
-        RelationGraph.of(
-            msc.events, scheduling(msc, "mb").edges | scheduling(msc, "onen").edges
-        )
-    )
+    (the mb and onen scheduling relations)."""
+    return transitive_closure(scheduling(msc, "mb") | scheduling(msc, "onen"))
 
 
 def _bowtie(msc: Msc, saturate: bool) -> tuple[tuple[int, ...], dict[int, int]] | None:
@@ -186,12 +200,10 @@ def _bowtie(msc: Msc, saturate: bool) -> tuple[tuple[int, ...], dict[int, int]] 
     index = {e: i for i, e in enumerate(bits)}
     # relation edges reversed: before[i] lists bits that precede bit i
     before: dict[int, list[int]] = {i: [] for i in range(len(bits))}
-    if saturate:
-        start = msc.succ_edges | msc.msg_edges
-    else:
-        start = scheduling(msc, "mb").edges | scheduling(msc, "onen").edges
-    for a, b in start:
-        before[index[b]].append(index[a])
+    start = hb_generators(msc) if saturate else scheduling(msc, "mb") | scheduling(msc, "onen")
+    for a, succs in start.adjacency().items():
+        for b in succs:
+            before[index[b]].append(index[a])
     sends = (1 << m) - 1
     while True:
         rows = graph.reach_bits(before)
@@ -213,14 +225,18 @@ def _bowtie(msc: Msc, saturate: bool) -> tuple[tuple[int, ...], dict[int, int]] 
             return bits, rows
 
 
+@per_chart
 def nn_bowtie(msc: Msc) -> RelationGraph:
     """The event dependency relation for the global-FIFO model: the
     closed mb and 1-n scheduling relations plus one round of the ⋈ rules
-    (:func:`_bowtie`), not closed again; acyclicity is what matters."""
+    (:func:`_bowtie`), not closed again; acyclicity is what matters.
+    Its predecessor rows are inverted straight into successor lists."""
     bits, rows = _bowtie(msc, saturate=False)
-    return RelationGraph.of(
-        msc.events, [(bits[j], bits[i]) for i, row in rows.items() for j in graph.bits_of(row)]
-    )
+    succ: dict[int, list[int]] = {e: [] for e in bits}
+    for i, row in rows.items():
+        for j in graph.bits_of(row):
+            succ[bits[j]].append(bits[i])
+    return RelationGraph(succ)
 
 
 def nn_saturated(msc: Msc) -> tuple[tuple[int, ...], dict[int, int]] | None:
@@ -234,15 +250,15 @@ def nn_saturated(msc: Msc) -> tuple[tuple[int, ...], dict[int, int]] | None:
 # -- crowns -------------------------------------------------------------------
 
 
+@per_chart
 def crown_digraph(msc: Msc) -> RelationGraph:
     """Digraph on matched sends with an edge s1 -> s2 whenever s1 happens
     strictly before the receive matching s2."""
     require_valid(msc)
     rm = msc.rmatching
-    edges = [
-        (s, rm[e]) for s in msc.matched_sends for e in msc.hb_reach[s] if e in rm and rm[e] != s
-    ]
-    return RelationGraph.of(msc.matched_sends, edges)
+    return RelationGraph(
+        {s: [rm[e] for e in msc.hb_reach[s] if e in rm and rm[e] != s] for s in msc.matched_sends}
+    )
 
 
 # -- the scheduling relation of each model -----------------------------------
@@ -262,11 +278,14 @@ SCHEDULING = {
 
 
 def scheduling(msc: Msc, model: str) -> RelationGraph:
-    """The scheduling relation of `model`, memoised on the MSC."""
-    key = "scheduling:" + SCHEDULING[model]
-    if key not in msc._cache:
-        msc._cache[key] = globals()[SCHEDULING[model]](msc)
-    return msc._cache[key]
+    """The scheduling relation of `model`."""
+    return globals()[SCHEDULING[model]](msc)
+
+
+@per_chart
+def scheduling_closure(msc: Msc, model: str) -> RelationGraph:
+    """The strict transitive closure of the scheduling relation of `model`."""
+    return transitive_closure(scheduling(msc, model))
 
 
 # The orderings an MSO formula can name as an atom, e.g. ``mb(x, y)``:
@@ -323,11 +342,12 @@ def channel_receives(msc: Msc) -> dict[tuple[str, str], list[int]]:
     return out
 
 
+@per_chart
 def relb(msc: Msc, k: int) -> RelationGraph:
     """For each channel, an edge from its i-th receive to its (i+k)-th
     send: the receive must be scheduled first in any k-bounded
     linearization.  FIFO channels make the indexing meaningful, so the
-    MSC must satisfy the per-channel FIFO discipline.  Memoised per k."""
+    MSC must satisfy the per-channel FIFO discipline."""
     require_valid(msc)
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -336,24 +356,22 @@ def relb(msc: Msc, k: int) -> RelationGraph:
     ok, witness = membership(msc, "p2p")
     if not ok:
         raise NotP2pError(f"receive indexing needs FIFO channels; offending sends {witness}")
-    key = f"relb:{k}"
-    if key not in msc._cache:
-        edges = set()
-        sends = channel_sends(msc)
-        for ch, recvs in channel_receives(msc).items():
-            ss = sends[ch]
-            for i, r in enumerate(recvs):
-                j = i + k
-                if j < len(ss):
-                    edges.add((r, ss[j]))
-        msc._cache[key] = RelationGraph.of(msc.events, edges)
-    return msc._cache[key]
+    edges = set()
+    sends = channel_sends(msc)
+    for ch, recvs in channel_receives(msc).items():
+        ss = sends[ch]
+        for i, r in enumerate(recvs):
+            j = i + k
+            if j < len(ss):
+                edges.add((r, ss[j]))
+    return RelationGraph.of(msc.events, edges)
 
 
+@per_chart
 def relb_asy(msc: Msc, k: int) -> RelationGraph:
     """Order-free variant of :func:`relb`: whenever k+1 sends are chained
     on one channel and at least one is matched, the earliest of their
-    receives must precede the last send.  Memoised per k.
+    receives must precede the last send.
 
     Decided by counting rather than by enumerating the (k+1)-subsets:
     the edge from the receive of t to the send s_j exists iff t is a
@@ -365,28 +383,25 @@ def relb_asy(msc: Msc, k: int) -> RelationGraph:
     require_valid(msc)
     if k < 0:
         raise ValueError("k must be >= 0")
-    key = f"relb_asy:{k}"
-    if key not in msc._cache:
-        edges = []
-        for ss in channel_sends(msc).values():
-            rank = [receive_rank(msc, s) for s in ss]
-            for i, t in enumerate(ss):
-                if t not in msc.matching:
-                    continue
-                r = msc.matching[t]
-                later = [p > rank[i] for p in rank]
-                count = sum(later[:i])
-                if count >= k:
-                    edges.append((r, t))
-                if k == 0:
-                    continue
-                for j in range(i + 1, len(ss)):
-                    if later[j]:
-                        if count >= k - 1:
-                            edges.append((r, ss[j]))
-                        count += 1
-        msc._cache[key] = RelationGraph.of(msc.events, edges)
-    return msc._cache[key]
+    edges = []
+    for ss in channel_sends(msc).values():
+        rank = [receive_rank(msc, s) for s in ss]
+        for i, t in enumerate(ss):
+            if t not in msc.matching:
+                continue
+            r = msc.matching[t]
+            later = [p > rank[i] for p in rank]
+            count = sum(later[:i])
+            if count >= k:
+                edges.append((r, t))
+            if k == 0:
+                continue
+            for j in range(i + 1, len(ss)):
+                if later[j]:
+                    if count >= k - 1:
+                        edges.append((r, ss[j]))
+                    count += 1
+    return RelationGraph.of(msc.events, edges)
 
 
 # -- export ----------------------------------------------------------------

@@ -212,6 +212,16 @@ def test_event_views_memoised():
     assert m.unmatched_sends == frozenset(m.send_events) - m.matched_sends != frozenset()
 
 
+def test_views_are_properties_cached_under_their_names():
+    # outside-in instrumentation wraps Msc.hb_reach as a property and
+    # looks its value up in `_cache` under the property's name
+    m = Msc(("p", "q"), {0: send("p", "q", "m")}, {"p": (0,)}, {})
+    for view in ("events", "position", "rmatching", "succ_edges", "hb_reach"):
+        assert isinstance(vars(Msc)[view], property), view
+        value = getattr(m, view)
+        assert m._cache[view] is value is getattr(m, view), view
+
+
 def test_linearization_limit_signal():
     m = example("two_targets")
     gen = enumerate_linearizations(m, limit=2)

@@ -528,3 +528,159 @@ def test_grouped_send_pairs_match_pairwise_loops():
             assert rsc_linearize(m).order == want
     # both verdicts, and both rsc outcomes, are exercised
     assert 50 < failed["p2p"] < 500 and failed["co"] > failed["p2p"] and rsc > 50
+
+
+# -- relations as successor maps ---------------------------------------------
+
+
+def test_relation_edge_outside_nodes_rejected():
+    with pytest.raises(ValueError, match=r"\(1, 2\)"):
+        RelationGraph.of([1], [(1, 2)])
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        RelationGraph.of([1], [(0, 1)])
+
+
+def test_relation_equality_by_nodes_and_edges():
+    built = RelationGraph.of([1, 2, 3], [(1, 2), (1, 2), (2, 3)])
+    given = RelationGraph({1: frozenset({2}), 2: (3,), 3: []})
+    assert built == given and hash(built) == hash(given)
+    assert built.edges == frozenset({(1, 2), (2, 3)})
+    assert built.has(1, 2) and not built.has(2, 1) and not built.has(4, 1)
+    assert built != RelationGraph({1: [2], 2: [3], 3: [], 4: []})
+    assert built != RelationGraph({1: [2], 2: [], 3: []})
+
+
+def fresh(m: Msc) -> Msc:
+    """A copy of `m` with empty per-chart caches."""
+    return Msc(m.processes, m.labels, m.proc_order, m.matching)
+
+
+def count_builds(monkeypatch, names) -> dict:
+    """Wrap each named producer of the relations module so that it
+    records, per function, chart and argument tuple, the distinct
+    objects it returns: one per build, since a memoised call returns
+    the object built first.  The charts are kept, so ids stay unique."""
+    seen: dict[tuple, list] = {}
+
+    def counting(name, fn):
+        def wrapper(msc, *args):
+            out = fn(msc, *args)
+            got = seen.setdefault((name, id(msc), args), [msc])
+            if all(out is not x for x in got[1:]):
+                got.append(out)
+            return out
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(relations, name, counting(name, getattr(relations, name)))
+    return seen
+
+
+# The README's example formula and one atom per named ordering it lists.
+README_FORMULAS = (
+    "~E x. (send(x) & ~matched(x))",
+    "E x. E y. (mb(x, y) | mb+(x, y) | onen(x, y) | bowtie(x, y))",
+    "E x. E y. (nnrel(x, y) | mbp(x, y) | onenp(x, y) | prox(x, y) | prox*(x, y))",
+    "E x. E y. relbasy1(x, y)",
+    "E x. E y. relb2(x, y)",
+    "~E x. bowtie+(x, x)",
+    "phi_nn",
+)
+
+
+def test_each_relation_built_once_per_chart(monkeypatch):
+    from msckit.classify import MODELS, classify
+    from msckit.mso import builtin, evaluate, parse_formula
+
+    names = sorted({*relations.SCHEDULING.values(), *relations.NAMED.values()})
+    seen = count_builds(monkeypatch, names)
+    formulas = [builtin(model) for model in MODELS]
+    formulas += [parse_formula(text) for text in README_FORMULAS]
+    for name in EXAMPLES:
+        m = fresh(example(name))
+        classify(m)
+        for f in formulas:
+            try:
+                evaluate(m, f)
+            except MscError:
+                pass  # relb needs FIFO channels
+    builds = {key[:1] + key[2:]: len(got) - 1 for key, got in seen.items()}
+    assert {name for name, *_ in builds} == set(names)
+    assert max(builds.values()) == 1
+
+
+def test_crown_search_and_rsc_witness_share_one_digraph(monkeypatch):
+    from msckit.classify import find_crown, rsc_linearize
+
+    seen = count_builds(monkeypatch, ["crown_digraph"])
+    m = fresh(example("relay"))
+    assert find_crown(m) is None
+    assert rsc_linearize(m).models == ("rsc",)
+    assert [len(got) - 1 for got in seen.values()] == [1]
+
+
+def old_adjacency(rel: RelationGraph) -> dict:
+    """The successor sets rebuilt from the edge set, as relations were
+    searched before they held their successor map."""
+    adj: dict[int, set[int]] = {n: set() for n in rel.nodes}
+    for a, b in rel.edges:
+        adj[a].add(b)
+    return adj
+
+
+def assert_successor_map(rel: RelationGraph) -> None:
+    adj = rel.adjacency()
+    assert rel.adjacency() is adj
+    assert set(adj) == rel.nodes
+    for succs in adj.values():
+        assert len(list(succs)) == len(set(succs)) and set(succs) <= rel.nodes
+    assert {n: set(succs) for n, succs in adj.items()} == old_adjacency(rel)
+
+
+def successor_map_cases() -> list[Msc]:
+    rng = random.Random(90)
+    cases = [random_msc(rng, max_events=10) for _ in range(150)]
+    cases += [random_msc(rng, max_events=40, procs=("p", "q", "r", "s")) for _ in range(40)]
+    return cases + [fresh(example(name)) for name in EXAMPLES]
+
+
+def test_successor_maps_match_edge_set_constructions():
+    from msckit import graph
+    from msckit.classify import membership
+
+    nn_members = {True: 0, False: 0}
+    for m in successor_map_cases():
+        nn_members[membership(m, "nn")[0]] += 1
+        # ⋈: its predecessor bitsets turned into an edge-tuple list
+        bits, rows = relations._bowtie(m, saturate=False)
+        bowtie = relations.nn_bowtie(m)
+        assert sorted(bowtie.edges) == sorted(
+            (bits[j], bits[i]) for i, row in rows.items() for j in graph.bits_of(row)
+        )
+        # closures: the reach rows of the edge set's adjacency as pairs
+        for model in ("asy", "mb", "onen", "nn"):
+            rel = relations.scheduling(m, model)
+            assert_successor_map(rel)
+            for reflexive in (False, True):
+                reach = graph.reach(old_adjacency(rel), reflexive=reflexive)
+                closed = relations.transitive_closure(rel, reflexive)
+                assert closed.edges == {(a, b) for a, bs in reach.items() for b in bs}
+                assert closed.nodes == rel.nodes
+                assert_successor_map(closed)
+            assert relations.scheduling_closure(m, model) == relations.transitive_closure(rel)
+        # happens-before: the hb_reach pairs
+        hb = happens_before(m)
+        assert hb.edges == {(e, f) for e, reach in m.hb_reach.items() for f in reach}
+        assert_successor_map(hb)
+        # crowns: matched sends, s1 before the receive of s2
+        rm = m.rmatching
+        crown = relations.crown_digraph(m)
+        assert crown.nodes == m.matched_sends
+        assert crown.edges == {
+            (s, rm[e]) for s in m.matched_sends for e in m.hb_reach[s] if e in rm and rm[e] != s
+        }
+        assert_successor_map(crown)
+        for name in ("mb", "onen", "nnrel", "mbp", "onenp", "relbasy"):
+            assert_successor_map(relations.named(m, name, 1))
+    assert min(nn_members.values()) > 10
