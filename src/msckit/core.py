@@ -119,12 +119,12 @@ class RelationGraph:
     def of(nodes: Iterable[int], edges: Iterable[tuple[int, int]]) -> "RelationGraph":
         """The relation on `nodes` with `edges`, repeats dropped; an edge
         leaving the nodes raises :class:`ValueError`."""
-        succ: dict[int, set[int]] = {n: set() for n in nodes}
-        for a, b in edges:
+        succ: dict[int, list[int]] = {n: [] for n in nodes}
+        for a, b in set(edges):
             if a not in succ or b not in succ:
                 raise ValueError(f"edge {(a, b)} has an endpoint that is not a node")
-            succ[a].add(b)
-        return RelationGraph({n: list(bs) for n, bs in succ.items()})
+            succ[a].append(b)
+        return RelationGraph(succ)
 
     @_view
     def edges(self) -> frozenset[tuple[int, int]]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 
 from .core import Msc
@@ -26,17 +27,15 @@ EXAMPLES = (
     "fanout_lost",
 )
 
-_cache: dict[str, Msc] = {}
 
-
+@functools.cache
 def example(name: str) -> Msc:
+    """The parsed corpus chart `name`, one shared object per name."""
     if name not in EXAMPLES:
         raise KeyError(f"unknown corpus example {name!r}")
-    if name not in _cache:
-        text = (
-            importlib.resources.files("msckit")
-            .joinpath("corpus", f"{name}.msc")
-            .read_text(encoding="utf-8")
-        )
-        _cache[name] = parse_msc(text)
-    return _cache[name]
+    text = (
+        importlib.resources.files("msckit")
+        .joinpath("corpus", f"{name}.msc")
+        .read_text(encoding="utf-8")
+    )
+    return parse_msc(text)
