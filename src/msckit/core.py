@@ -376,11 +376,10 @@ def validate(msc: Msc) -> ValidationReport:
     # matching is a dict, so a send cannot be matched twice; flag receives
     # hit twice (an injectivity failure) under 2b above.
 
-    known = msc.labels
-    generators = RelationGraph.of(
-        known, ((a, b) for a, b in msc.succ_edges | msc.msg_edges if a in known and b in known)
-    )
-    cycle = graph.find_cycle(generators.adjacency())
+    edges = msc.succ_edges | msc.msg_edges
+    if out:  # only a violation above lets an edge leave the labelled events
+        edges = {(a, b) for a, b in edges if a in msc.labels and b in msc.labels}
+    cycle = graph.find_cycle(RelationGraph.of(msc.labels, edges).adjacency())
     if cycle is not None:
         out.append(Violation("3", tuple(cycle), "happens-before is not a partial order"))
 
