@@ -17,6 +17,7 @@ than raising.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from . import graph
@@ -105,14 +106,16 @@ class RelationGraph:
     """A finite binary relation over event identifiers, held as the
     successor map :mod:`msckit.graph` works on: every node maps to its
     successors, without repeats, and every successor is a node.  The map
-    is shared, not copied; :meth:`of` builds one from an edge list.
+    is taken over, not copied: whoever builds a relation from a map must
+    not change the map afterwards, and :meth:`adjacency` hands it out
+    behind a read-only view.  :meth:`of` builds one from an edge list.
     Equality and hashing go by the node set and the edge set."""
 
     __slots__ = ("nodes", "_succ", "_cache")
 
     def __init__(self, succ: Mapping[int, Collection[int]]):
         self.nodes = frozenset(succ)
-        self._succ = succ
+        self._succ = MappingProxyType(succ)
         self._cache: dict = {}
 
     @staticmethod
@@ -134,7 +137,8 @@ class RelationGraph:
         return (a, b) in self.edges
 
     def adjacency(self) -> Mapping[int, Collection[int]]:
-        """The successor map, the form :mod:`msckit.graph` works on."""
+        """The successor map, the form :mod:`msckit.graph` works on: the
+        same read-only view on every call."""
         return self._succ
 
     def to_edge_list(self) -> str:
@@ -377,9 +381,8 @@ def validate(msc: Msc) -> ValidationReport:
     # hit twice (an injectivity failure) under 2b above.
 
     edges = msc.succ_edges | msc.msg_edges
-    if out:  # only a violation above lets an edge leave the labelled events
-        edges = {(a, b) for a, b in edges if a in msc.labels and b in msc.labels}
-    cycle = graph.find_cycle(RelationGraph.of(msc.labels, edges).adjacency())
+    known = [(a, b) for a, b in edges if a in msc.labels and b in msc.labels]
+    cycle = graph.find_cycle(RelationGraph.of(msc.events, known).adjacency())
     if cycle is not None:
         out.append(Violation("3", tuple(cycle), "happens-before is not a partial order"))
 

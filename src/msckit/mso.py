@@ -535,17 +535,18 @@ def _conjuncts(f: Formula, out: list[Formula]) -> None:
 
 
 class _Index:
-    """A materialised relation: its edges and both adjacency maps."""
+    """A materialised relation: its edges, its successor map and the
+    predecessor map inverted from it."""
 
     __slots__ = ("edges", "succ", "pred")
 
-    def __init__(self, edges):
-        self.edges = frozenset(edges)
-        self.succ: dict[int, list[int]] = {}
-        self.pred: dict[int, list[int]] = {}
-        for a, b in self.edges:
-            self.succ.setdefault(a, []).append(b)
-            self.pred.setdefault(b, []).append(a)
+    def __init__(self, rel: RelationGraph):
+        self.edges = rel.edges
+        self.succ = rel.adjacency()
+        self.pred: dict[int, list[int]] = {n: [] for n in self.succ}
+        for a, bs in self.succ.items():
+            for b in bs:
+                self.pred[b].append(a)
 
 
 class _Rel:
@@ -792,10 +793,10 @@ class _Compiler:
         if isinstance(r, PrimRel):
             msc = self.ev.msc
             edges = msc.succ_edges if r.name == "succ" else msc.msg_edges
-            return self._materialised(fv, lambda env: edges)
+            return self._materialised(fv, lambda env: RelationGraph.of(events, edges))
         if isinstance(r, NamedRel):
-            named_edges = self.ev.named_edges
-            return self._materialised(fv, lambda env: named_edges(r.name, r.k))
+            msc = self.ev.msc
+            return self._materialised(fv, lambda env: relations.named(msc, r.name, r.k))
         if isinstance(r, DefRel):
             body, x, y = self.formula(r.body), r.xvar, r.yvar
             if _has_so(r.body) or (self.subset_closures and _has_closure(r.body)):
@@ -810,7 +811,7 @@ class _Compiler:
 
                 return self._lazy(fv, holds)
 
-            def pairs(env: dict) -> list[tuple[int, int]]:
+            def pairs(env: dict) -> RelationGraph:
                 saved = _save(env, (x, y))
                 try:
                     out = []
@@ -820,7 +821,7 @@ class _Compiler:
                             env[y] = b
                             if body(env):
                                 out.append((a, b))
-                    return out
+                    return RelationGraph.of(events, out)
                 finally:
                     _restore(env, saved)
 
@@ -830,7 +831,10 @@ class _Compiler:
             if any(p.lazy for p in parts):
                 return self._lazy(fv, lambda env, a, b: any(p.holds(env, a, b) for p in parts))
             return self._materialised(
-                fv, lambda env: frozenset().union(*(p.index(env).edges for p in parts))
+                fv,
+                lambda env: RelationGraph.of(
+                    events, frozenset().union(*(p.index(env).edges for p in parts))
+                ),
             )
         if isinstance(r, ClosureRel):
             inner, reflexive = self.rel(r.inner), r.reflexive
@@ -842,10 +846,10 @@ class _Compiler:
                     ),
                 )
 
-            def closed(env: dict) -> list[tuple[int, int]]:
+            def closed(env: dict) -> RelationGraph:
                 succ = inner.index(env).succ
-                reach = graph.reach({e: succ.get(e, ()) for e in events}, reflexive=reflexive)
-                return [(a, b) for a, bs in reach.items() for b in bs]
+                adj = {e: succ.get(e, ()) for e in events}
+                return RelationGraph(graph.reach(adj, reflexive=reflexive))
 
             return self._materialised(fv, closed)
         raise TypeError(f"unknown relation node {r!r}")
@@ -857,7 +861,10 @@ class _Compiler:
     def _lazy(self, fv: tuple[str, ...], holds) -> _Rel:
         events = self.events
         index = _memo(
-            fv, lambda env: [(a, b) for a in events for b in events if holds(env, a, b)]
+            fv,
+            lambda env: RelationGraph.of(
+                events, [(a, b) for a in events for b in events if holds(env, a, b)]
+            ),
         )
         return _Rel(fv, True, index, holds)
 

@@ -5,6 +5,7 @@ import pytest
 from conftest import channel_chain, random_msc
 from msckit.core import (
     EMPTY_MSC,
+    InvalidMscError,
     LimitExceededError,
     Msc,
     NotDownwardClosedError,
@@ -86,6 +87,20 @@ def test_validate_wrong_line():
     m = Msc(("p", "q"), labels, {"q": (0,)}, {})
     report = validate(m)
     assert any(v.condition == "1" for v in report.violations)
+
+
+def test_validate_reports_edges_to_unknown_events():
+    # event 5 sits on p's line without a label, and send 0 is matched to
+    # the unknown id 9: both edges leave the labelled events, which must
+    # come back as violations 1 and 2a, not as an error from the cycle check
+    labels = {0: send("p", "q", "a"), 1: recv("p", "q", "a")}
+    m = Msc(("p", "q"), labels, {"p": (0, 5), "q": (1,)}, {0: 9})
+    report = validate(m)
+    assert not report.ok
+    assert ("1", (5,)) in [(v.condition, v.events) for v in report.violations]
+    assert ("2a", (0, 9)) in [(v.condition, v.events) for v in report.violations]
+    with pytest.raises(InvalidMscError):
+        happens_before(m)
 
 
 def test_self_send_rejected():

@@ -633,6 +633,8 @@ def assert_successor_map(rel: RelationGraph) -> None:
     adj = rel.adjacency()
     assert rel.adjacency() is adj
     assert set(adj) == rel.nodes
+    with pytest.raises(TypeError):
+        adj[min(rel.nodes, default=0)] = []  # read-only: the map is shared
     for succs in adj.values():
         assert len(list(succs)) == len(set(succs)) and set(succs) <= rel.nodes
     assert {n: set(succs) for n, succs in adj.items()} == old_adjacency(rel)
