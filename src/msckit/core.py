@@ -106,9 +106,8 @@ class RelationGraph:
     """A finite binary relation over event identifiers, held as the
     successor map :mod:`msckit.graph` works on: every node maps to its
     successors, without repeats, and every successor is a node.  The map
-    is taken over, not copied: whoever builds a relation from a map must
-    not change the map afterwards, and :meth:`adjacency` hands it out
-    behind a read-only view.  :meth:`of` builds one from an edge list.
+    is taken over uncopied, so its builder must not change it, and it is
+    handed out read-only; :meth:`of` builds one from an edge list.
     Equality and hashing go by the node set and the edge set."""
 
     __slots__ = ("nodes", "_succ", "_cache")
@@ -132,6 +131,15 @@ class RelationGraph:
     @_view
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset((a, b) for a, bs in self._succ.items() for b in bs)
+
+    @_view
+    def predecessors(self) -> Mapping[int, list[int]]:
+        """The inverse successor map, built on first use."""
+        pred: dict[int, list[int]] = {n: [] for n in self._succ}
+        for a, bs in self._succ.items():
+            for b in bs:
+                pred[b].append(a)
+        return MappingProxyType(pred)
 
     def has(self, a: int, b: int) -> bool:
         return (a, b) in self.edges

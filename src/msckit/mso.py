@@ -534,24 +534,10 @@ def _conjuncts(f: Formula, out: list[Formula]) -> None:
     out.append(f)
 
 
-class _Index:
-    """A materialised relation: its edges, its successor map and the
-    predecessor map inverted from it."""
-
-    __slots__ = ("edges", "succ", "pred")
-
-    def __init__(self, rel: RelationGraph):
-        self.edges = rel.edges
-        self.succ = rel.adjacency()
-        self.pred: dict[int, list[int]] = {n: [] for n in self.succ}
-        for a, bs in self.succ.items():
-            for b in bs:
-                self.pred[b].append(a)
-
-
 class _Rel:
-    """A compiled relation node.  `index(env)` materialises it for the
-    values of its free variables `fv`, once per distinct value tuple.
+    """A compiled relation node.  `index(env)` materialises it as a
+    :class:`RelationGraph` for the values of its free variables `fv`,
+    once per distinct value tuple.
     A `lazy` node is tested pair by pair with `holds(env, a, b)` and has
     no cheap index, so quantifiers never range over it."""
 
@@ -563,21 +549,21 @@ class _Rel:
 
 def _memo(fv: tuple[str, ...], build) -> object:
     if not fv:
-        once: list[_Index] = []
+        once: list[RelationGraph] = []
 
-        def index_once(env: dict) -> _Index:
+        def index_once(env: dict) -> RelationGraph:
             if not once:
-                once.append(_Index(build(env)))
+                once.append(build(env))
             return once[0]
 
         return index_once
-    cache: dict[tuple, _Index] = {}
+    cache: dict[tuple, RelationGraph] = {}
 
-    def index(env: dict) -> _Index:
+    def index(env: dict) -> RelationGraph:
         key = tuple([env[v] for v in fv])
         got = cache.get(key)
         if got is None:
-            got = cache[key] = _Index(build(env))
+            got = cache[key] = build(env)
         return got
 
     return index
@@ -600,7 +586,8 @@ class _Compiler:
     """Compiles formulas for one evaluator into closures ``env -> bool``.
 
     Every relation atom is materialised once per binding of its free
-    variables into edges plus successor and predecessor maps.  A block of
+    variables into a :class:`RelationGraph`, whose successor and
+    predecessor maps the quantifiers range over.  A block of
     first-order existentials over a conjunction runs as a join: each
     variable in turn ranges over the neighbours of a bound variable
     through a relation conjunct where one exists, over all events
@@ -768,8 +755,9 @@ class _Compiler:
         index, other, forward = source
 
         def each_neighbour(env: dict) -> bool:
-            idx = index(env)
-            for value in (idx.succ if forward else idx.pred).get(env[other], ()):
+            rel = index(env)
+            near = rel.adjacency() if forward else rel.predecessors
+            for value in near.get(env[other], ()):
                 env[var] = value
                 if then(env):
                     return True
@@ -789,13 +777,11 @@ class _Compiler:
 
     def _compile_rel(self, r: RelExpr) -> _Rel:
         fv = tuple(sorted(_free(r, self.free)))
-        events = self.events
+        events, msc = self.events, self.ev.msc
         if isinstance(r, PrimRel):
-            msc = self.ev.msc
             edges = msc.succ_edges if r.name == "succ" else msc.msg_edges
             return self._materialised(fv, lambda env: RelationGraph.of(events, edges))
         if isinstance(r, NamedRel):
-            msc = self.ev.msc
             return self._materialised(fv, lambda env: relations.named(msc, r.name, r.k))
         if isinstance(r, DefRel):
             body, x, y = self.formula(r.body), r.xvar, r.yvar
@@ -847,7 +833,7 @@ class _Compiler:
                 )
 
             def closed(env: dict) -> RelationGraph:
-                succ = inner.index(env).succ
+                succ = inner.index(env).adjacency()
                 adj = {e: succ.get(e, ()) for e in events}
                 return RelationGraph(graph.reach(adj, reflexive=reflexive))
 
