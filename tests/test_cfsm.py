@@ -38,7 +38,7 @@ machine q: state b init; trans b -> b on ? p n
 """
 
 
-def protocol_system(rng: random.Random, procs=("p", "q", "r")) -> CfsmSystem:
+def protocol_text(rng: random.Random, procs=("p", "q", "r")) -> str:
     """Two states per machine, one send to a random peer from each state,
     and every message sent to a machine receivable in both its states."""
     sends = {
@@ -55,7 +55,11 @@ def protocol_system(rng: random.Random, procs=("p", "q", "r")) -> CfsmSystem:
             stmts.append(f"trans s{st} -> s{dst} on ! {peer} {m}")
             stmts += [f"trans s{st} -> s{st} on ? {s} {m2}" for s, m2 in inbound]
         lines.append("; ".join(stmts))
-    return parse_cfsm("\n".join(lines))
+    return "\n".join(lines)
+
+
+def protocol_system(rng: random.Random, procs=("p", "q", "r")) -> CfsmSystem:
+    return parse_cfsm(protocol_text(rng, procs))
 
 
 def differential_systems() -> list[CfsmSystem]:
