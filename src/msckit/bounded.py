@@ -27,6 +27,7 @@ from .core import (
     Linearization,
     Msc,
     MscError,
+    RelationGraph,
     extends_hb,
     require_valid,
 )
@@ -88,17 +89,28 @@ def _window_failure(msc: Msc, k: int, model: str, universal: bool) -> dict | Non
     for ch, n in sorted(per_channel.items()):
         if n > k:
             return {"kind": "unmatched-overflow", "channel": list(ch), "unmatched": n}
-    window = relations.relb_asy(msc, k) if model == "asy" else relations.relb(msc, k)
     if universal:
         if relations.SCHEDULING[model] == "hb_generators":
             implied = msc.hb_reach  # happens-before: no second closure
         else:
             implied = relations.scheduling_closure(msc, model).adjacency()
-        for r, s in sorted(window.edges):
+        for r, s in sorted(_window(msc, k, model).edges):
             if s not in implied[r]:
                 return {"kind": "unforced-window", "receive": r, "send": s}
-    ok, cycle = relations.is_acyclic(relations.scheduling(msc, model) | window)
-    return None if ok else {"kind": "cycle", "events": list(cycle)}
+    cycle = _window_cycle(msc, k, model)
+    return None if cycle is None else {"kind": "cycle", "events": list(cycle)}
+
+
+def _window(msc: Msc, k: int, model: str) -> RelationGraph:
+    return relations.relb_asy(msc, k) if model == "asy" else relations.relb(msc, k)
+
+
+@relations.per_chart
+def _window_cycle(msc: Msc, k: int, model: str) -> list[int] | None:
+    """A minimal cycle of the scheduling relation joined with the k-window
+    constraints, or None.  The two are joined once per chart, k and model,
+    and the existential and universal checks share the search."""
+    return relations.is_acyclic(relations.scheduling(msc, model) | _window(msc, k, model))[1]
 
 
 def exists_k_bounded(msc: Msc, k: int, model: str = "asy") -> bool:

@@ -30,7 +30,7 @@ an honest bound-relative verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import bounded as bounded_mod
 from . import network
@@ -163,8 +163,7 @@ def explore(
         yield from _explore_bag(sys, model, max_events, prune)
 
 
-@dataclass(frozen=True, slots=True)
-class _Execution:
+class _Execution(NamedTuple):
     """A network execution of the system, event ids in execution order.
     `words` and `placed` give its chart in (process index, line index)
     coordinates, which do not depend on the event ids."""
@@ -172,8 +171,7 @@ class _Execution:
     states: tuple[str, ...]  # machine state per process, in system order
     actions: tuple[Action, ...]  # label of event i
     coords: tuple[tuple[int, int], ...]  # coordinates of event i
-    matching: tuple[tuple[int, int], ...]  # (send, receive) event ids
-    config: network.NetworkConfig
+    config: network.NetworkConfig  # every entry tagged with its send's coordinates
     words: tuple[tuple[str, ...], ...]  # label text along each process line
     placed: frozenset  # the matching as (send, receive) coordinate pairs
 
@@ -181,21 +179,25 @@ class _Execution:
         lines: list[list[int]] = [[] for _ in processes]
         for e, (pi, _) in enumerate(self.coords):
             lines[pi].append(e)
+        ids = {c: e for e, c in enumerate(self.coords)}
+        matching = sorted(((ids[s], ids[r]) for s, r in self.placed), key=lambda m: m[1])
         return Msc(
-            processes,
-            dict(enumerate(self.actions)),
-            dict(zip(processes, lines)),
-            dict(self.matching),
+            processes, dict(enumerate(self.actions)), dict(zip(processes, lines)), dict(matching)
         )
 
 
 def _explore_network(sys: CfsmSystem, model: str, max_events: int) -> Iterator[Msc]:
     """Breadth-first search over (machine states, chart, queue contents).
 
-    Executions are merged when their keys agree: machine states, the
-    label words of the process lines, the matching and the queue
-    contents, both in (process index, line index) coordinates.  Equal
-    keys mean isomorphic charts with the same futures.
+    Every send enters its queue tagged with its (process index, line
+    index) coordinate, so a receive reads the coordinate of the send it
+    consumes off the queue head, and the queue contents are already in
+    coordinates.  Executions are merged when their keys agree: machine
+    states, the label words of the process lines, the matching as
+    coordinate pairs and the queue contents.  Equal keys mean isomorphic
+    charts with the same futures.  Each level's charts are sorted by
+    their canonical form, read off the words and the matching, so only
+    emitted charts are built.
     """
     processes = sys.processes
     if not processes:  # no machine, no step: only the empty chart
@@ -204,74 +206,74 @@ def _explore_network(sys: CfsmSystem, model: str, max_events: int) -> Iterator[M
     # peers without a machine still get queues: their messages stay in flight
     actions = [t[1] for m in sys.machines.values() for t in m.transitions]
     net = network.network_for(model, network.full_process_set(actions, processes))
-    # per process and state: (action, target, label text, queue id) per transition
+    # per process and state: (action, target, label text, queue slot) per transition
     moves = [
         {
             state: [
-                (a, dst, str(a), net.queue_of(a.sender, a.receiver))
+                (a, dst, str(a), net.slot_of(a.sender, a.receiver))
                 for _, a, dst in sys.machines[p].steps_from(state)
             ]
             for state in sys.machines[p].states
         }
         for p in processes
     ]
+    by_name = sorted(range(len(processes)), key=processes.__getitem__)
+
+    def canonical(chart) -> tuple:
+        """:meth:`Msc.canonical` of the chart: its nonempty lines by
+        process name, and the matching in (process, line index) terms."""
+        words, placed = chart
+        lines = tuple((processes[pi], words[pi]) for pi in by_name if words[pi])
+        match = sorted(
+            ((processes[sp], si), (processes[rp], ri)) for (sp, si), (rp, ri) in placed
+        )
+        return (lines, tuple(match))
+
     initial = _Execution(
         tuple(sys.machines[p].initial for p in processes),
-        (),
         (),
         (),
         network.NetworkConfig.initial(net),
         tuple(() for _ in processes),
         frozenset(),
     )
-    level = {None: initial}
+    level = [initial]
     for depth in range(max_events + 1):
-        charts = set()
-        emit = []
-        for ex in level.values():
-            if (ex.words, ex.placed) not in charts:
-                charts.add((ex.words, ex.placed))
-                msc = ex.to_msc(processes)
-                emit.append((msc.canonical(), msc))
-        emit.sort(key=lambda pair: pair[0])
-        for _, msc in emit:
-            yield msc
+        charts: dict = {}
+        for ex in level:
+            charts.setdefault((ex.words, ex.placed), ex)
+        for chart in sorted(charts, key=canonical):
+            yield charts[chart].to_msc(processes)
         if depth == max_events:
             return
         nxt: dict = {}
-        for ex in level.values():
-            for pi, state in enumerate(ex.states):
-                coord = (pi, len(ex.words[pi]))
-                coords = ex.coords + (coord,)
-                for action, dst, label, qid in moves[pi][state]:
-                    config = network.step(net, ex.config, action, origin=depth)
+        for ex in level:
+            states, words = ex.states, ex.words
+            for pi, state in enumerate(states):
+                coord = (pi, len(words[pi]))
+                for action, dst, label, slot in moves[pi][state]:
+                    config = network.step(net, ex.config, action, origin=coord)
                     if config is None:
                         continue
-                    matching, placed = ex.matching, ex.placed
+                    placed = ex.placed
                     if not action.is_send:
-                        origin = ex.config.content(qid)[0][3]
-                        matching += ((origin, depth),)
-                        placed = placed | {(coords[origin], coord)}
-                    states = tuple(dst if j == pi else s for j, s in enumerate(ex.states))
-                    words = tuple(
-                        w + (label,) if j == pi else w for j, w in enumerate(ex.words)
+                        placed = placed | {(ex.config.slots[slot][0][3], coord)}
+                    key = (
+                        states[:pi] + (dst,) + states[pi + 1 :],
+                        words[:pi] + (words[pi] + (label,),) + words[pi + 1 :],
+                        placed,
+                        config.slots,
                     )
-                    queued = tuple(
-                        tuple(coords[entry[3]] for entry in entries)
-                        for _, entries in config.queues
-                    )
-                    key = (states, words, placed, queued)
                     if key not in nxt:
                         nxt[key] = _Execution(
-                            states,
+                            key[0],
                             ex.actions + (action,),
-                            coords,
-                            matching,
+                            ex.coords + (coord,),
                             config,
-                            words,
+                            key[1],
                             placed,
                         )
-        level = nxt
+        level = list(nxt.values())
         if not level:
             return
 
@@ -284,12 +286,8 @@ class _Partial:
     matching: tuple[tuple[int, int], ...]
 
     def to_msc(self, processes: tuple[str, ...]) -> Msc:
-        return Msc(
-            processes,
-            {i: a for i, a in enumerate(self.labels)},
-            {p: self.lines[pi] for pi, p in enumerate(processes)},
-            dict(self.matching),
-        )
+        lines = dict(zip(processes, self.lines))
+        return Msc(processes, dict(enumerate(self.labels)), lines, dict(self.matching))
 
 
 def _explore_bag(
@@ -332,38 +330,20 @@ def _successors(
 ) -> Iterator[_Partial]:
     # in-flight sends: emitted, not yet matched
     matched = {s for s, _ in partial.matching}
-    pending = [
-        i for i, a in enumerate(partial.labels) if a.is_send and i not in matched
-    ]
+    pending = [i for i, a in enumerate(partial.labels) if a.is_send and i not in matched]
     nid = len(partial.labels)
     for pi, p in enumerate(processes):
-        machine = sys.machines[p]
-        state = partial.states[pi]
-        for src, action, dst in machine.steps_from(state):
-            new_states = tuple(
-                dst if j == pi else s for j, s in enumerate(partial.states)
-            )
-            new_lines = tuple(
-                line + (nid,) if j == pi else line for j, line in enumerate(partial.lines)
-            )
+        for _, action, dst in sys.machines[p].steps_from(partial.states[pi]):
+            states = partial.states[:pi] + (dst,) + partial.states[pi + 1 :]
+            lines = partial.lines[:pi] + (partial.lines[pi] + (nid,),) + partial.lines[pi + 1 :]
+            labels = partial.labels + (action,)
             if action.is_send:
-                yield _Partial(
-                    new_states, new_lines, partial.labels + (action,), partial.matching
-                )
-            else:
-                for s in pending:
-                    sa = partial.labels[s]
-                    if (sa.sender, sa.receiver, sa.payload) == (
-                        action.sender,
-                        action.receiver,
-                        action.payload,
-                    ):
-                        yield _Partial(
-                            new_states,
-                            new_lines,
-                            partial.labels + (action,),
-                            partial.matching + ((s, nid),),
-                        )
+                yield _Partial(states, lines, labels, partial.matching)
+                continue
+            for s in pending:
+                sa = partial.labels[s]
+                if sa.channel == action.channel and sa.payload == action.payload:
+                    yield _Partial(states, lines, labels, partial.matching + ((s, nid),))
 
 
 def _prunable(msc: Msc, model: str) -> bool:

@@ -25,7 +25,7 @@ from .classify import (
     linearize,
 )
 from .core import MscError, validate, to_dot
-from .io import ParseError, load_cfsm, load_msc, parse_trace
+from .io import ParseError, load_cfsm, load_msc, message_names, parse_trace, serialize_msc
 
 
 def _out(args, payload: dict, text: str) -> None:
@@ -81,8 +81,6 @@ def cmd_linearize(args) -> int:
 def cmd_check_lin(args) -> int:
     msc = load_msc(args.file)
     names = {}
-    from .io import message_names
-
     for s, name in message_names(msc).items():
         names["!" + name] = s
         if s in msc.matching:
@@ -208,12 +206,9 @@ def cmd_cfsm(args) -> int:
     sys_ = load_cfsm(args.system)
     if args.cfsm_cmd == "explore":
         shown = 0
-        for msc in cfsm_mod.explore(sys_, args.model, args.max_events):
-            print(f"# behavior {shown + 1}: {len(msc.events)} events")
-            from .io import serialize_msc
-
+        for shown, msc in enumerate(cfsm_mod.explore(sys_, args.model, args.max_events), 1):
+            print(f"# behavior {shown}: {len(msc.events)} events")
             print(serialize_msc(msc), end="")
-            shown += 1
         print(f"# total: {shown} behaviors (<= {args.max_events} events, model {args.model})")
         return 0
     verdict = cfsm_mod.bounded_synchronizability(
@@ -225,8 +220,6 @@ def cmd_cfsm(args) -> int:
             f" up to {args.max_events} events"
         )
         return 0
-    from .io import serialize_msc
-
     print(f"counterexample ({len(verdict.counterexample.events)} events):")
     print(serialize_msc(verdict.counterexample), end="")
     return 1

@@ -113,9 +113,12 @@ class RelationGraph:
     __slots__ = ("nodes", "_succ", "_cache")
 
     def __init__(self, succ: Mapping[int, Collection[int]]):
-        self.nodes = frozenset(succ)
-        self._succ = MappingProxyType(succ)
-        self._cache: dict = {}
+        object.__setattr__(self, "nodes", frozenset(succ))
+        object.__setattr__(self, "_succ", MappingProxyType(succ))
+        object.__setattr__(self, "_cache", {})
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("RelationGraph is immutable")
 
     @staticmethod
     def of(nodes: Iterable[int], edges: Iterable[tuple[int, int]]) -> "RelationGraph":

@@ -10,20 +10,25 @@ the head entry carries exactly its channel and payload.
 
 Queue entries keep (sender, receiver, payload, origin) rather than the
 bare payload.  With the assignment-consistency invariant this accepts
-exactly the same executions, and the origin index lets a completed
-replay be folded back into an MSC.
+exactly the same executions.  The origin is a tag the caller picks for
+each send: `run_execution` and `execution_to_msc` use its position in
+the execution, which lets a replay be folded back into an MSC, and
+`cfsm.explore` its (process index, line index) coordinate.  A
+configuration holds the entries of each queue at the queue's position
+in `QueueNetwork.queue_ids`, so a step replaces one slot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Any, NamedTuple, Sequence
 
 from .core import Action, Linearization, Msc, MscError, require_valid
 
 KINDS = ("p2p", "mb", "onen", "nn")
 
-Entry = tuple[str, str, str, int]  # sender, receiver, payload, origin position
+# sender, receiver, payload, origin: a tag the caller gives the send
+Entry = tuple[str, str, str, Any]
 
 
 class ExecutionRejected(MscError):
@@ -38,32 +43,39 @@ class QueueNetwork:
     queue_ids: tuple[str, ...]
     assign: dict[tuple[str, str], str]
     kind: str = "custom"
+    # channel -> position of its queue in `queue_ids`
+    _slot: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        index = {qid: i for i, qid in enumerate(self.queue_ids)}
+        object.__setattr__(self, "_slot", {ch: index[q] for ch, q in self.assign.items()})
 
     def queue_of(self, p: str, q: str) -> str:
+        return self.queue_ids[self.slot_of(p, q)]
+
+    def slot_of(self, p: str, q: str) -> int:
+        """The position of channel (p, q)'s queue in `queue_ids`."""
         try:
-            return self.assign[(p, q)]
+            return self._slot[(p, q)]
         except KeyError:
             raise MscError(f"no queue assigned to channel ({p},{q})") from None
 
 
-@dataclass(frozen=True, slots=True)
-class NetworkConfig:
-    queues: tuple[tuple[str, tuple[Entry, ...]], ...]
+class NetworkConfig(NamedTuple):
+    slots: tuple[tuple[Entry, ...], ...]  # entries per queue, in `queue_ids` order
+    queue_ids: tuple[str, ...]
 
     @staticmethod
     def initial(net: QueueNetwork) -> "NetworkConfig":
-        return NetworkConfig(tuple((qid, ()) for qid in net.queue_ids))
+        return NetworkConfig(((),) * len(net.queue_ids), net.queue_ids)
+
+    @property
+    def queues(self) -> tuple[tuple[str, tuple[Entry, ...]], ...]:
+        """(queue id, entries) per queue."""
+        return tuple(zip(self.queue_ids, self.slots))
 
     def content(self, qid: str) -> tuple[Entry, ...]:
-        for name, entries in self.queues:
-            if name == qid:
-                return entries
-        raise KeyError(qid)
-
-    def _replaced(self, qid: str, entries: tuple[Entry, ...]) -> "NetworkConfig":
-        return NetworkConfig(
-            tuple((name, entries if name == qid else old) for name, old in self.queues)
-        )
+        return dict(self.queues)[qid]
 
 
 def network_for(kind: str, processes: Sequence[str]) -> QueueNetwork:
@@ -87,20 +99,20 @@ def network_for(kind: str, processes: Sequence[str]) -> QueueNetwork:
 
 
 def step(
-    net: QueueNetwork, config: NetworkConfig, action: Action, origin: int = -1
+    net: QueueNetwork, config: NetworkConfig, action: Action, origin: Any = -1
 ) -> NetworkConfig | None:
-    """One transition, or None when the action is not enabled."""
-    qid = net.queue_of(action.sender, action.receiver)
-    entries = config.content(qid)
+    """One transition, or None when the action is not enabled; a send's
+    entry is tagged with `origin`."""
+    i = net.slot_of(action.sender, action.receiver)
+    slots = config.slots
+    entries = slots[i]
     if action.is_send:
-        entry: Entry = (action.sender, action.receiver, action.payload, origin)
-        return config._replaced(qid, entries + (entry,))
-    if not entries:
+        entries += ((action.sender, action.receiver, action.payload, origin),)
+    elif entries and entries[0][:3] == (action.sender, action.receiver, action.payload):
+        entries = entries[1:]
+    else:
         return None
-    head = entries[0]
-    if head[:3] != (action.sender, action.receiver, action.payload):
-        return None
-    return config._replaced(qid, entries[1:])
+    return NetworkConfig(slots[:i] + (entries,) + slots[i + 1 :], config.queue_ids)
 
 
 @dataclass(frozen=True)
@@ -125,23 +137,16 @@ def run_execution(net: QueueNetwork, actions: Sequence[Action]) -> ReplayResult:
     return ReplayResult(True, config)
 
 
-def execution_processes(actions: Iterable[Action]) -> tuple[str, ...]:
-    procs: list[str] = []
+def full_process_set(
+    actions: Sequence[Action], processes: Sequence[str] | None
+) -> tuple[str, ...]:
+    """`processes`, then the other processes the actions name, in order
+    of first appearance."""
+    procs = list(processes or ())
     for a in actions:
         for p in (a.sender, a.receiver):
             if p not in procs:
                 procs.append(p)
-    return tuple(procs)
-
-
-def full_process_set(
-    actions: Sequence[Action], processes: Sequence[str] | None
-) -> tuple[str, ...]:
-    derived = execution_processes(actions)
-    if processes is None:
-        return derived
-    procs = list(processes)
-    procs.extend(p for p in derived if p not in procs)
     return tuple(procs)
 
 
@@ -176,21 +181,19 @@ def execution_to_msc(
     Raises :class:`ExecutionRejected` if the network refuses a step.
     """
     procs = full_process_set(actions, processes)
-    net = network_for(kind, procs) if procs else None
-    config = NetworkConfig.initial(net) if net else None
-    matching: dict[int, int] = {}
-    labels: dict[int, Action] = {}
     proc_order: dict[str, list[int]] = {p: [] for p in procs}
-    for i, a in enumerate(actions):
-        labels[i] = a
-        proc_order[a.process].append(i)
-        assert net is not None and config is not None
-        nxt = step(net, config, a, origin=i)
-        if nxt is None:
-            raise ExecutionRejected(i, a)
-        if not a.is_send:
-            matching[config.content(net.queue_of(a.sender, a.receiver))[0][3]] = i
-        config = nxt
-    msc = Msc(procs, labels, proc_order, matching)
+    matching: dict[int, int] = {}
+    if procs:
+        net = network_for(kind, procs)
+        config = NetworkConfig.initial(net)
+        for i, a in enumerate(actions):
+            proc_order[a.process].append(i)
+            nxt = step(net, config, a, origin=i)
+            if nxt is None:
+                raise ExecutionRejected(i, a)
+            if not a.is_send:
+                matching[config.slots[net.slot_of(a.sender, a.receiver)][0][3]] = i
+            config = nxt
+    msc = Msc(procs, dict(enumerate(actions)), proc_order, matching)
     require_valid(msc)
     return msc

@@ -10,6 +10,7 @@ from msckit.network import (
     KINDS,
     ExecutionRejected,
     NetworkConfig,
+    QueueNetwork,
     classify_execution,
     execution_to_msc,
     linearization_to_execution,
@@ -159,3 +160,80 @@ def test_roundtrip_random_per_kind():
             ex = linearization_to_execution(m, lin)
             assert run_execution(network_for(kind, m.processes), ex).ok
             assert execution_to_msc(ex, kind, m.processes).isomorphic(m)
+
+
+# -- step against a list-of-lists FIFO replay -------------------------------------
+
+
+def _random_execution(rng: random.Random, length: int) -> list:
+    """Sends on random channels; a receive takes a random in-flight message
+    (any, not only a queue head) or, now and then, one never sent."""
+    actions, in_flight = [], []
+    for _ in range(length):
+        if in_flight and rng.random() < 0.5:
+            actions.append(recv(*in_flight.pop(rng.randrange(len(in_flight)))))
+        elif rng.random() < 0.05:
+            actions.append(recv("p", "q", "ghost"))
+        else:
+            p, q = rng.sample(PQR, 2)
+            in_flight.append((p, q, rng.choice("ab")))
+            actions.append(send(*in_flight[-1]))
+    return actions
+
+
+def _fifo_reference(net, actions, tag):
+    """Replay on plain lists: per prefix the queue contents, then the
+    position of the first refused action (None if all run) and the
+    matching of the receives that ran."""
+    queues = [[] for _ in net.queue_ids]
+    snapshots, matching = [], {}
+    for i, a in enumerate(actions):
+        snapshots.append([tuple(q) for q in queues])
+        queue = queues[net.queue_ids.index(net.assign[(a.sender, a.receiver)])]
+        if a.is_send:
+            queue.append((a.sender, a.receiver, a.payload, tag(i)))
+        elif queue and queue[0][:3] == (a.sender, a.receiver, a.payload):
+            matching[queue.pop(0)[3]] = tag(i)
+        else:
+            return snapshots, i, matching
+    snapshots.append([tuple(q) for q in queues])
+    return snapshots, None, matching
+
+
+CUSTOM = QueueNetwork(  # p reads one queue, q and r share the other
+    ("in-p", "rest"), {(a, b): "in-p" if b == "p" else "rest" for a in PQR for b in PQR if a != b}
+)
+
+
+@pytest.mark.parametrize("kind", KINDS + ("custom",))
+def test_step_matches_fifo_reference(kind):
+    net = CUSTOM if kind == "custom" else network_for(kind, PQR)
+    rng = random.Random(f"step-{kind}")
+    refused = 0
+    for _ in range(150):
+        actions = _random_execution(rng, rng.randrange(1, 16))
+        # a coordinate-like tag, as exploration uses, and positions, as replay does
+        for tag in (lambda i: ("tag", i), lambda i: i):
+            snapshots, failed_at, matching = _fifo_reference(net, actions, tag)
+            config = NetworkConfig.initial(net)
+            for i, a in enumerate(actions):
+                want = snapshots[i]
+                assert config.queues == tuple(zip(net.queue_ids, want))
+                assert [config.content(qid) for qid in net.queue_ids] == want
+                assert (config == NetworkConfig.initial(net)) == (not any(want))
+                config = step(net, config, a, origin=tag(i))
+                if i == failed_at:
+                    assert config is None
+                    break
+            else:
+                assert config.queues == tuple(zip(net.queue_ids, snapshots[-1]))
+        result = run_execution(net, actions)
+        assert result.ok == (failed_at is None) and result.failed_at == failed_at
+        refused += not result.ok
+        if kind in KINDS and failed_at is None:
+            assert execution_to_msc(actions, kind, PQR).matching == matching
+        elif kind in KINDS:
+            with pytest.raises(ExecutionRejected) as exc:
+                execution_to_msc(actions, kind, PQR)
+            assert exc.value.position == failed_at
+    assert 0 < refused < 150  # both outcomes occur

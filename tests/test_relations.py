@@ -15,6 +15,15 @@ def test_transitive_closure_chain():
     assert (1, 3) in closed.edges
 
 
+def test_relation_graph_is_immutable():
+    r = RelationGraph.of([1, 2], [(1, 2)])
+    held = {r}
+    for name in ("nodes", "_succ", "_cache", "other"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, frozenset())
+    assert r.nodes == {1, 2} and r in held
+
+
 def test_transitive_closure_idempotent():
     rng = random.Random(1)
     for _ in range(30):
