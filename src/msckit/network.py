@@ -21,7 +21,8 @@ in `QueueNetwork.queue_ids`, so a step replaces one slot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .core import Action, Linearization, Msc, MscError, require_valid
 
@@ -41,12 +42,14 @@ class ExecutionRejected(MscError):
 @dataclass(frozen=True, slots=True)
 class QueueNetwork:
     queue_ids: tuple[str, ...]
-    assign: dict[tuple[str, str], str]
+    assign: Mapping[tuple[str, str], str]
     kind: str = "custom"
     # channel -> position of its queue in `queue_ids`
     _slot: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # `_slot` is derived from `assign`, so `assign` is frozen too
+        object.__setattr__(self, "assign", MappingProxyType(dict(self.assign)))
         index = {qid: i for i, qid in enumerate(self.queue_ids)}
         object.__setattr__(self, "_slot", {ch: index[q] for ch, q in self.assign.items()})
 

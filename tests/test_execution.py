@@ -38,6 +38,16 @@ def test_network_shapes():
     assert all(mb.assign[(a, b)] == b for (a, b) in mb.assign)
 
 
+def test_queue_assignment_is_frozen():
+    # the channel-to-slot map is built once, from the assignment
+    assign = {("p", "q"): "a", ("q", "p"): "b"}
+    net = QueueNetwork(("a", "b"), assign)
+    assign[("p", "q")] = "b"
+    with pytest.raises(TypeError):
+        net.assign[("p", "q")] = "b"
+    assert net.queue_of("p", "q") == "a" and net.slot_of("q", "p") == 1
+
+
 def test_step_send_appends():
     net = network_for("p2p", ("p", "q"))
     cfg = step(net, NetworkConfig.initial(net), send("p", "q", "m"))
