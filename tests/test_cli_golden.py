@@ -5,8 +5,10 @@ compares its stdout and exit code with ``tests/data/cli_golden.json``,
 byte for byte.  The cases cover ``validate``, ``classify`` (text and
 ``--format json``), ``bounded --k {1,2}`` for every bounded model with
 and without ``--universal``, ``decompose`` with and without ``--k 1``,
-``dot --relation`` for each exported relation, and ``linearize --model``
-and ``mso --builtin`` for each of the seven models.
+``dot --relation`` for each exported relation, ``linearize --model``
+and ``mso --builtin`` for each of the seven models, and ``stw --max 4``
+(plain, ``--trace`` and ``--format json --trace``) and ``stw --max 1``,
+which exits 1 on every chart of width 2 or more.
 
 To re-record after an intended change of output, run from the
 repository root::
@@ -44,6 +46,12 @@ def _commands() -> list[list[str]]:
     out += [["dot", "--relation", r] for r in ("hb", "mb", "onen", "bowtie")]
     for cmd, flag in (("linearize", "--model"), ("mso", "--builtin")):
         out += [[cmd, flag, m] for m in MODELS]
+    out += [
+        ["stw", "--max", "4"],
+        ["stw", "--max", "4", "--trace"],
+        ["--format", "json", "stw", "--max", "4", "--trace"],
+        ["stw", "--max", "1"],
+    ]
     return out
 
 
