@@ -30,7 +30,8 @@ an honest bound-relative verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple
 
 from . import bounded as bounded_mod
 from . import network
@@ -74,7 +75,13 @@ class Machine:
 
 @dataclass(frozen=True)
 class CfsmSystem:
-    machines: dict[str, Machine]
+    machines: Mapping[str, Machine]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "machines", MappingProxyType(dict(self.machines)))
+
+    def __hash__(self) -> int:
+        return hash(tuple(sorted(self.machines.items())))
 
     @property
     def processes(self) -> tuple[str, ...]:

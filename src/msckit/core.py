@@ -152,10 +152,6 @@ class RelationGraph:
         same read-only view on every call."""
         return self._succ
 
-    def to_edge_list(self) -> str:
-        """One `a b` pair per line, sorted."""
-        return "\n".join(f"{a} {b}" for a, b in sorted(self.edges))
-
     def __or__(self, other: "RelationGraph") -> "RelationGraph":
         """The union of two relations on the same nodes."""
         return RelationGraph({n: {*bs, *other._succ[n]} for n, bs in self._succ.items()})
@@ -270,12 +266,6 @@ class Msc:
             for i, e in enumerate(seq):
                 pos[e] = (p, i)
         return pos
-
-    def proc_before(self, a: int, b: int) -> bool:
-        """a ->+ b: strictly earlier on the same process line."""
-        pa, ia = self.position[a]
-        pb, ib = self.position[b]
-        return pa == pb and ia < ib
 
     # -- happens-before ------------------------------------------------
 

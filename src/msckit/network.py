@@ -53,6 +53,9 @@ class QueueNetwork:
         index = {qid: i for i, qid in enumerate(self.queue_ids)}
         object.__setattr__(self, "_slot", {ch: index[q] for ch, q in self.assign.items()})
 
+    def __hash__(self) -> int:
+        return hash((self.queue_ids, tuple(sorted(self.assign.items())), self.kind))
+
     def queue_of(self, p: str, q: str) -> str:
         return self.queue_ids[self.slot_of(p, q)]
 

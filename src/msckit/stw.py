@@ -9,17 +9,21 @@ continue on.  Width at most k means the marking player can always reach
 fully-marked fragments without ever exceeding k+1 marks in a visited
 position.
 
-Fragments reached during the search are canonicalized as (surviving
-events, surviving edges, marked set) and memoized; disconnected
-positions decompose into independent per-component subgames, which keeps
-the search tractable for the desk-scale inputs this targets (roughly 20
-events).  The memo table lives inside one evaluation; distinct
-evaluations can run concurrently.
+A position is two int masks over event ranks (ranks follow ascending
+event ids): the fragment's events and its marked events.  Its edges are
+implied.  A move removes exactly the edges whose two ends are marked,
+and marks only grow along a play, so a fragment's edges are the chart's
+edges inside it minus those between two marked events.  The solver keeps
+one adjacency mask per event and memoizes positions by their two masks.
+The parts a move yields are components by construction, so only the
+whole chart is split into independent per-component subgames.  This
+keeps the search tractable for the desk-scale inputs this targets
+(roughly 20 events).  The memo table lives inside one evaluation;
+distinct evaluations can run concurrently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .core import Msc, MscError, require_valid
@@ -31,123 +35,110 @@ class GameSizeError(MscError):
     pass
 
 
-Fragment = tuple[frozenset[int], frozenset[frozenset[int]], frozenset[int]]
-
-
-def _msc_graph(msc: Msc) -> tuple[frozenset[int], frozenset[frozenset[int]]]:
-    edges = {frozenset((a, b)) for a, b in msc.succ_edges | msc.msg_edges}
-    return frozenset(msc.events), frozenset(edges)
-
-
-def _components(
-    nodes: frozenset[int], edges: frozenset[frozenset[int]]
-) -> list[frozenset[int]]:
-    adj: dict[int, set[int]] = {n: set() for n in nodes}
-    for e in edges:
-        a, b = tuple(e)
-        adj[a].add(b)
-        adj[b].add(a)
-    seen: set[int] = set()
-    comps = []
-    for start in sorted(nodes):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        seen.add(start)
-        while stack:
-            n = stack.pop()
-            for m in adj[n]:
-                if m not in seen:
-                    seen.add(m)
-                    comp.add(m)
-                    stack.append(m)
-        comps.append(frozenset(comp))
-    return comps
-
-
-@dataclass
-class _Move:
-    marked: frozenset[int]
-    parts: tuple[Fragment, ...]
+def _bits(mask: int) -> list[int]:
+    """The ranks set in mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class _Solver:
-    def __init__(self, k: int):
+    def __init__(self, msc: Msc, k: int):
         self.budget = k + 1
-        self.memo: dict[Fragment, bool] = {}
-        self.plan: dict[Fragment, _Move] = {}
+        self.events = sorted(msc.events)
+        rank = {e: i for i, e in enumerate(self.events)}
+        self.adj = [0] * len(self.events)
+        for a, b in msc.succ_edges | msc.msg_edges:
+            self.adj[rank[a]] |= 1 << rank[b]
+            self.adj[rank[b]] |= 1 << rank[a]
+        self.all = (1 << len(self.events)) - 1
+        self.memo: dict[tuple[int, int], bool] = {}
+        # position -> (marks after the move, the parts it splits into)
+        self.plan: dict[tuple[int, int], tuple[int, tuple[tuple[int, int], ...]]] = {}
 
-    def win(self, nodes: frozenset[int], edges: frozenset[frozenset[int]], marked: frozenset[int]) -> bool:
-        # Disconnected fragments are equivalent to playing each component
+    def ids(self, mask: int) -> list[int]:
+        return [self.events[v] for v in _bits(mask)]
+
+    def components(self, nodes: int, marked: int) -> list[int]:
+        """The components of the fragment, in order of their lowest event."""
+        adj = self.adj
+        # a marked event keeps its edges to unmarked events only
+        unmarked = nodes & ~marked
+        comps = []
+        rest = nodes
+        while rest:
+            comp = todo = rest & -rest
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                near = adj[low.bit_length() - 1] & (unmarked if low & marked else nodes) & ~comp
+                comp |= near
+                todo |= near
+            comps.append(comp)
+            rest &= ~comp
+        return comps
+
+    def wins(self) -> bool:
+        # Disconnected charts are equivalent to playing each component
         # separately; splitting them off costs no marks.
-        comps = _components(nodes, edges)
-        if len(comps) > 1:
-            return all(
-                self.win(c, frozenset(e for e in edges if e <= c), marked & c)
-                for c in comps
-            )
-        return self._win_connected(nodes, edges, marked)
+        return all(self.win(c, 0) for c in self.components(self.all, 0))
 
-    def _win_connected(
-        self, nodes: frozenset[int], edges: frozenset[frozenset[int]], marked: frozenset[int]
-    ) -> bool:
+    def win(self, nodes: int, marked: int) -> bool:
+        """The marking player wins on a connected fragment."""
         if marked == nodes:
             return True
-        key: Fragment = (nodes, edges, marked)
+        key = (nodes, marked)
         if key in self.memo:
             return self.memo[key]
         self.memo[key] = False  # cycle guard; positions only shrink, so safe
-        result = self._search(nodes, edges, marked, key)
-        self.memo[key] = result
+        result = self.memo[key] = self._search(nodes, marked, key)
         return result
 
-    def _search(
-        self,
-        nodes: frozenset[int],
-        edges: frozenset[frozenset[int]],
-        marked: frozenset[int],
-        key: Fragment,
-    ) -> bool:
-        free = self.budget - len(marked)
-        if free < 0:
-            return False
-        unmarked = sorted(nodes - marked)
+    def _search(self, nodes: int, marked: int, key: tuple[int, int]) -> bool:
+        free = self.budget - marked.bit_count()
+        unmarked = _bits(nodes & ~marked)
         if len(unmarked) <= free:
             # mark everything at once: terminal position
-            self.plan[key] = _Move(nodes, ())
+            self.plan[key] = (nodes, ())
             return True
-        # try extending the marking, smallest extensions first
-        for extra in range(free + 1):
+        adj = self.adj
+        # try extending the marking, smallest extensions first; an empty
+        # extension removes no edge
+        for extra in range(1, free + 1):
             for chosen in combinations(unmarked, extra):
-                new_marked = marked | set(chosen)
-                removable = {e for e in edges if e <= new_marked}
-                if not removable:
+                new_marked = marked
+                for v in chosen:
+                    new_marked |= 1 << v
+                held = nodes & new_marked
+                if not any(adj[v] & held for v in chosen):
                     continue
-                remaining = edges - removable
-                comps = _components(nodes, remaining)
+                comps = self.components(nodes, new_marked)
                 if len(comps) < 2:
                     continue
-                parts = tuple(
-                    (c, frozenset(e for e in remaining if e <= c), new_marked & c)
-                    for c in comps
-                )
+                parts = tuple((c, new_marked & c) for c in comps)
                 if all(self.win(*part) for part in parts):
-                    self.plan[key] = _Move(new_marked, parts)
+                    self.plan[key] = (new_marked, parts)
                     return True
         return False
+
+
+def _solver(msc: Msc, k: int, game_bound: int) -> _Solver:
+    require_valid(msc)
+    if len(msc.events) > game_bound:
+        raise GameSizeError(f"{len(msc.events)} events exceed the game bound {game_bound}")
+    return _Solver(msc, k)
 
 
 def stw_at_most(msc: Msc, k: int, game_bound: int = DEFAULT_GAME_BOUND) -> bool:
     """Decide whether the marking player wins the width-k decomposition
     game on the MSC."""
-    require_valid(msc)
-    if len(msc.events) > game_bound:
-        raise GameSizeError(f"{len(msc.events)} events exceed the game bound {game_bound}")
+    solver = _solver(msc, k, game_bound)
     if k < 0:
         return not msc.events
-    nodes, edges = _msc_graph(msc)
-    return _Solver(k).win(nodes, edges, frozenset())
+    return solver.wins()
 
 
 def special_treewidth(
@@ -162,39 +153,34 @@ def special_treewidth(
 
 def strategy_transcript(msc: Msc, k: int, game_bound: int = DEFAULT_GAME_BOUND) -> str | None:
     """A textual trace of one winning strategy, or None if k is too small."""
-    require_valid(msc)
-    if len(msc.events) > game_bound:
-        raise GameSizeError(f"{len(msc.events)} events exceed the game bound {game_bound}")
-    nodes, edges = _msc_graph(msc)
-    solver = _Solver(k)
-    if not solver.win(nodes, edges, frozenset()):
+    solver = _solver(msc, k, game_bound)
+    if not solver.wins():
         return None
+    ids = solver.ids
+    lines = [f"winning strategy with at most {k + 1} marks:"]
 
-    lines: list[str] = []
-
-    def describe(nodes: frozenset[int], edges: frozenset[frozenset[int]], marked: frozenset[int], depth: int) -> None:
+    def describe(nodes: int, marked: int, depth: int) -> None:
         pad = "  " * depth
-        comps = _components(nodes, edges)
-        if len(comps) > 1:
-            lines.append(f"{pad}fragment {sorted(nodes)} is disconnected; play components separately")
-            for c in comps:
-                describe(c, frozenset(e for e in edges if e <= c), marked & c, depth + 1)
-            return
         if marked == nodes:
-            lines.append(f"{pad}fragment {sorted(nodes)} fully marked: done")
+            lines.append(f"{pad}fragment {ids(nodes)} fully marked: done")
             return
-        move = solver.plan[(nodes, edges, marked)]
-        newly = sorted(move.marked - marked)
-        if not move.parts:
-            lines.append(f"{pad}mark {newly}: all of {sorted(nodes)} marked, done")
+        new_marked, parts = solver.plan[(nodes, marked)]
+        newly = ids(new_marked & ~marked)
+        if not parts:
+            lines.append(f"{pad}mark {newly}: all of {ids(nodes)} marked, done")
             return
         lines.append(
-            f"{pad}mark {newly} (marked now {sorted(move.marked)}), remove marked-marked edges, split:"
+            f"{pad}mark {newly} (marked now {ids(new_marked)}), remove marked-marked edges, split:"
         )
-        for part_nodes, part_edges, part_marked in move.parts:
-            lines.append(f"{pad}  part {sorted(part_nodes)}")
-            describe(part_nodes, part_edges, part_marked, depth + 2)
+        for part_nodes, part_marked in parts:
+            lines.append(f"{pad}  part {ids(part_nodes)}")
+            describe(part_nodes, part_marked, depth + 2)
 
-    lines.append(f"winning strategy with at most {k + 1} marks:")
-    describe(nodes, edges, frozenset(), 1)
+    comps = solver.components(solver.all, 0)
+    if len(comps) > 1:
+        lines.append(f"  fragment {ids(solver.all)} is disconnected; play components separately")
+        for c in comps:
+            describe(c, 0, 2)
+    else:
+        describe(solver.all, 0, 1)
     return "\n".join(lines) + "\n"

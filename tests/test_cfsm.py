@@ -68,6 +68,19 @@ def differential_systems() -> list[CfsmSystem]:
     return named + [protocol_system(rng) for _ in range(20)]
 
 
+def test_equal_systems_hash_equal():
+    a, b = parse_cfsm(PING_PONG), parse_cfsm(PING_PONG)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    # the machines' order does not matter, and the system keeps its own copy
+    machines = dict(reversed(list(a.machines.items())))
+    swapped = CfsmSystem(machines)
+    machines.clear()
+    assert swapped == a and hash(swapped) == hash(a) and swapped.processes == ("q", "p")
+    with pytest.raises(TypeError):
+        a.machines["p"] = a.machines["q"]
+    assert parse_cfsm(BACKCHANNEL) != a
+
+
 def test_machine_rejects_foreign_action():
     with pytest.raises(MscError):
         Machine("p", ("a",), "a", ((("a"), send("q", "p", "m"), "a"),))

@@ -48,6 +48,16 @@ def test_queue_assignment_is_frozen():
     assert net.queue_of("p", "q") == "a" and net.slot_of("q", "p") == 1
 
 
+def test_equal_networks_hash_equal():
+    a, b = network_for("nn", ("p", "q")), network_for("nn", ("p", "q"))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    # the assignment's insertion order does not matter
+    swapped = QueueNetwork(a.queue_ids, dict(reversed(list(a.assign.items()))), "nn")
+    assert swapped == a and hash(swapped) == hash(a)
+    assert network_for("mb", ("p", "q")) != a
+    assert len({network_for(kind, PQR) for kind in KINDS}) == len(KINDS)
+
+
 def test_step_send_appends():
     net = network_for("p2p", ("p", "q"))
     cfg = step(net, NetworkConfig.initial(net), send("p", "q", "m"))

@@ -341,12 +341,12 @@ def bowtie_by_hand(msc):
             if a1.receiver == a2.receiver:
                 if m1 and not m2:
                     base.add((s1, s2))
-                if m1 and m2 and msc.proc_before(msc.matching[s1], msc.matching[s2]):
+                if m1 and m2 and proc_before(msc, msc.matching[s1], msc.matching[s2]):
                     base.add((s1, s2))
             if a1.sender == a2.sender:
                 if m1 and not m2:
                     base.add((s1, s2))
-                if m1 and m2 and msc.proc_before(s1, s2):
+                if m1 and m2 and proc_before(msc, s1, s2):
                     base.add((msc.matching[s1], msc.matching[s2]))
     # reachability closure
     closed = set()
@@ -396,16 +396,28 @@ def test_no_unmatched_mb_iff_onen():
         assert a == b
 
 
+def edge_list(rel):
+    """One `a b` pair per line, sorted."""
+    return "\n".join(f"{a} {b}" for a, b in sorted(rel.edges))
+
+
 def test_relation_dot_and_edge_list():
     m = example("blocked")
     rel = relations.mb_rel(m)
     assert "e1 -> e0" in relations.to_dot(rel, m)
-    assert rel.to_edge_list() == "1 0"
+    assert edge_list(rel) == "1 0"
 
 
 # Pairwise references for the grouped, rank-ordered send relations and
 # deciders: every pair of sends in a group is tested directly with
-# Msc.proc_before / Msc.hb_strict.
+# proc_before / Msc.hb_strict.
+
+
+def proc_before(msc, a, b):
+    """a ->+ b: strictly earlier on the same process line."""
+    pa, ia = msc.position[a]
+    pb, ib = msc.position[b]
+    return pa == pb and ia < ib
 
 
 def is_p2p_pairwise(msc):
@@ -432,7 +444,7 @@ def is_co_pairwise(msc):
 def receives_in_order(msc, s1, s2):
     if s2 not in msc.matching:
         return True
-    return s1 in msc.matching and msc.proc_before(msc.matching[s1], msc.matching[s2])
+    return s1 in msc.matching and proc_before(msc, msc.matching[s1], msc.matching[s2])
 
 
 def pairwise_rel(msc, group, ordered):
@@ -456,14 +468,14 @@ def pairwise_rel(msc, group, ordered):
 def mb_rel_pairwise(msc):
     r = msc.matching
     return pairwise_rel(
-        msc, lambda a: a.receiver, lambda s1, s2: {(s1, s2)} if msc.proc_before(r[s1], r[s2]) else set()
+        msc, lambda a: a.receiver, lambda s1, s2: {(s1, s2)} if proc_before(msc, r[s1], r[s2]) else set()
     )
 
 
 def onen_rel_pairwise(msc):
     r = msc.matching
     return pairwise_rel(
-        msc, lambda a: a.sender, lambda s1, s2: {(r[s1], r[s2])} if msc.proc_before(s1, s2) else set()
+        msc, lambda a: a.sender, lambda s1, s2: {(r[s1], r[s2])} if proc_before(msc, s1, s2) else set()
     )
 
 

@@ -5,38 +5,44 @@ import pytest
 
 from conftest import channel_chain, random_msc
 from msckit.core import EMPTY_MSC, prefix, hb_prefixes, validate
-from msckit.corpus import example
-from msckit.stw import GameSizeError, special_treewidth, strategy_transcript, stw_at_most
+from msckit.corpus import EXAMPLES, example
+from msckit.stw import GameSizeError, _Solver, special_treewidth, strategy_transcript, stw_at_most
+
+
+def chart_edges(msc):
+    return frozenset(frozenset(e) for e in msc.succ_edges | msc.msg_edges)
+
+
+def components(nodes, edges):
+    """The components of an explicit edge set, in order of their lowest node."""
+    adj = {n: set() for n in nodes}
+    for e in edges:
+        a, b = tuple(e)
+        adj[a].add(b)
+        adj[b].add(a)
+    seen, comps = set(), []
+    for s in sorted(nodes):
+        if s in seen:
+            continue
+        comp, stack = {s}, [s]
+        seen.add(s)
+        while stack:
+            n = stack.pop()
+            for m in adj[n]:
+                if m not in seen:
+                    seen.add(m)
+                    comp.add(m)
+                    stack.append(m)
+        comps.append(frozenset(comp))
+    return comps
 
 
 def reference_stw_at_most(msc, k):
     """Literal rules, no shortcuts: try every marking, every removal set
     of marked-marked edges, and every bipartition of the components."""
     budget = k + 1
-    edges0 = frozenset(frozenset(e) for e in msc.succ_edges | msc.msg_edges)
+    edges0 = chart_edges(msc)
     memo = {}
-
-    def components(nodes, edges):
-        adj = {n: set() for n in nodes}
-        for e in edges:
-            a, b = tuple(e)
-            adj[a].add(b)
-            adj[b].add(a)
-        seen, comps = set(), []
-        for s in sorted(nodes):
-            if s in seen:
-                continue
-            comp, stack = {s}, [s]
-            seen.add(s)
-            while stack:
-                n = stack.pop()
-                for m in adj[n]:
-                    if m not in seen:
-                        seen.add(m)
-                        comp.add(m)
-                        stack.append(m)
-            comps.append(frozenset(comp))
-        return comps
 
     def win(nodes, edges, marked):
         if marked == nodes:
@@ -135,13 +141,87 @@ def test_strategy_transcript():
     assert strategy_transcript(channel_chain(1), 0) is None
 
 
+def seeded_charts(seed, count, lo, hi):
+    """count random charts of lo..hi events on 2-4 processes."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        procs = ("p", "q", "r", "s")[: rng.randint(2, 4)]
+        m = random_msc(rng, max_events=hi, procs=procs)
+        if len(m.events) >= lo:
+            out.append(m)
+    return out
+
+
 def test_solver_matches_literal_reference():
     rng = random.Random(42)
     cases = [random_msc(rng, max_events=5) for _ in range(25)]
     cases += [example("handshake"), example("blocked"), example("fanout"), channel_chain(2)]
+    cases += seeded_charts(43, 120, 6, 8)
     for m in cases:
         for k in (0, 1, 2, 3):
             assert stw_at_most(m, k) == reference_stw_at_most(m, k), (m.canonical(), k)
+
+
+def check_plan(msc, k):
+    """Replay the solver's winning plan at width k move by move on explicit
+    edge sets, independently of the solver's masks; return the moves seen."""
+    solver = _Solver(msc, k)
+    assert solver.wins()
+    rank = {e: i for i, e in enumerate(solver.events)}
+
+    def ids(mask):
+        return frozenset(e for e, i in rank.items() if mask >> i & 1)
+
+    def mask(events):
+        return sum(1 << rank[e] for e in events)
+
+    moves = 0
+
+    def replay(nodes, edges, marked):
+        nonlocal moves
+        if marked == nodes:
+            return  # a leaf: fully marked
+        new_marked, parts = solver.plan[(mask(nodes), mask(marked))]
+        now = ids(new_marked)
+        moves += 1
+        assert marked <= now <= nodes
+        assert len(now) <= k + 1
+        if not parts:
+            assert now == nodes  # the move marks the whole fragment: a leaf
+            return
+        removed = frozenset(e for e in edges if e <= now)
+        assert removed, "the move removes no marked-marked edge"
+        left = edges - removed
+        want = [(c, now & c) for c in components(nodes, left)]
+        assert len(want) >= 2
+        assert [(ids(c), ids(m)) for c, m in parts] == want
+        for c, m in want:
+            replay(c, frozenset(e for e in left if e <= c), m)
+
+    edges = chart_edges(msc)
+    roots = components(frozenset(msc.events), edges)
+    assert [ids(c) for c in solver.components(solver.all, 0)] == roots
+    for c in roots:
+        replay(c, frozenset(e for e in edges if e <= c), frozenset())
+    return moves
+
+
+def test_plan_replays_on_corpus():
+    for name in EXAMPLES:
+        m = example(name)
+        width = special_treewidth(m, 6)
+        for k in range(width, width + 2):
+            check_plan(m, k)
+
+
+def test_plan_replays_on_seeded_charts():
+    moves = 0
+    for m in seeded_charts(44, 40, 6, 16) + [channel_chain(n) for n in (1, 3, 6)]:
+        width = special_treewidth(m, 6)
+        for k in range(width, width + 2):
+            moves += check_plan(m, k)
+    assert moves > 100
 
 
 def test_hb_prefixes_never_wider():
