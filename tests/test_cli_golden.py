@@ -6,9 +6,12 @@ byte for byte.  The cases cover ``validate``, ``classify`` (text and
 ``--format json``), ``bounded --k {1,2}`` for every bounded model with
 and without ``--universal``, ``decompose`` with and without ``--k 1``,
 ``dot --relation`` for each exported relation, ``linearize --model``
-and ``mso --builtin`` for each of the seven models, and ``stw --max 4``
-(plain, ``--trace`` and ``--format json --trace``) and ``stw --max 1``,
-which exits 1 on every chart of width 2 or more.
+and ``mso --builtin`` for each of the seven models, ``mso --formula``
+for the README formulas of the benchmark, a ``relb1`` atom (exit 2 on
+charts whose channels are not FIFO) and a ``bowtie+`` closure, ``mso
+--closure-mode subset --builtin mb``, and ``stw --max 4`` (plain,
+``--trace`` and ``--format json --trace``) and ``stw --max 1``, which
+exits 1 on every chart of width 2 or more.
 
 To re-record after an intended change of output, run from the
 repository root::
@@ -35,6 +38,16 @@ from msckit.corpus import EXAMPLES
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
 
+MSO_FORMULAS = (
+    "~E x. (send(x) & ~matched(x))",
+    "A x. A y. (x ->+ y) => (x < y)",
+    "~E x. mbp(x, x)",
+    "~E x. bowtie+(x, x)",
+    "phi_nn",
+    "E x. E y. relb1(x, y)",
+    "A x. A y. bowtie+(x, y) => ~bowtie+(y, x)",
+)
+
 
 def _commands() -> list[list[str]]:
     out = [["validate"], ["classify"], ["--format", "json", "classify"]]
@@ -46,6 +59,8 @@ def _commands() -> list[list[str]]:
     out += [["dot", "--relation", r] for r in ("hb", "mb", "onen", "bowtie")]
     for cmd, flag in (("linearize", "--model"), ("mso", "--builtin")):
         out += [[cmd, flag, m] for m in MODELS]
+    out += [["mso", "--formula", text] for text in MSO_FORMULAS]
+    out.append(["mso", "--closure-mode", "subset", "--builtin", "mb"])
     out += [
         ["stw", "--max", "4"],
         ["stw", "--max", "4", "--trace"],
