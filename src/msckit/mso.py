@@ -9,14 +9,17 @@ natively as graph closure, and a ``subset`` evaluation mode replaces
 every closure atom by its second-order encoding (forward-closed sets)
 for cross-validation.
 
-:meth:`Evaluator.check` compiles a formula into closures.  Each relation
-atom is materialised once, with successor and predecessor indexes, and
-a block of first-order existentials over a conjunction runs as a join
-along those indexes instead of trying every event for every variable.
-The one-node-at-a-time tree walker ``Evaluator._eval`` is kept as the
-reference the tests compare the compiled path against.  Second-order
-quantification iterates all event subsets, so formulas containing it
-are guarded by a configurable event cap.
+:meth:`Evaluator.check` runs a formula by its plan: closures compiled
+once per formula value and closure mode, and kept in a bounded cache,
+that read the chart from a binding made fresh for each check.  Each
+relation atom is materialised once per check, with successor and
+predecessor indexes, and a block of first-order existentials over a
+conjunction runs as a join along those indexes instead of trying every
+event for every variable; a defined relation is materialised by the same
+join.  The tests keep a one-node-at-a-time tree walker as the reference
+the compiled path is compared against.  Second-order quantification
+iterates all event subsets, so formulas containing it are guarded by a
+configurable event cap.
 
 ASCII surface syntax (see :func:`parse_formula`):
 
@@ -279,181 +282,35 @@ class Evaluator:
             raise ValueError(f"unknown closure mode {closure_mode!r}")
         require_valid(msc)
         self.msc = msc
-        self.events = list(msc.events)
         self.so_limit = so_limit
         self.closure_mode = closure_mode
-        self._materialized: dict[tuple, frozenset[tuple[int, int]]] = {}
-
-    def named_edges(self, name: str, k: int | None) -> frozenset[tuple[int, int]]:
-        """Edges of a relation the relations module computes, by name."""
-        return relations.named(self.msc, name, k).edges
 
     def check(self, formula: Formula, env: dict | None = None) -> bool:
-        """Compile `formula` (see :class:`_Compiler`) and evaluate it."""
+        """Evaluate `formula` by its plan (see :class:`_Compiler`), which
+        is compiled on the first check of an equal formula in this closure
+        mode, on a binding made fresh for this chart."""
         env = {v: frozenset(x) if isinstance(x, set) else x for v, x in (env or {}).items()}
-        missing = free_vars(formula) - set(env)
+        key = (formula, self.closure_mode)
+        plan = _PLANS.get(key)
+        if plan is None:
+            free, has_so = free_vars(formula), _has_so(formula)
+            has_closure = self.closure_mode == "subset" and _has_closure(formula)
+        else:
+            free, has_so, has_closure = plan.free, plan.has_so, plan.has_closure
+        missing = free - set(env)
         if missing:
             raise MscError(f"unassigned free variables: {sorted(missing)}")
-        if _has_so(formula) or (self.closure_mode == "subset" and _has_closure(formula)):
-            if len(self.events) > self.so_limit:
-                raise SoLimitError(
-                    f"{len(self.events)} events exceed the second-order cap {self.so_limit}"
-                )
-        return _Compiler(self).formula(formula)(env)
-
-    # The tree walker below is the reference the compiled path is tested
-    # against: it evaluates one node per call and tests relations pair by
-    # pair, materialising only the inner relation of a closure.
-
-    def _eval(self, f: Formula, env: dict) -> bool:
-        if isinstance(f, TrueF):
-            return True
-        if isinstance(f, NotF):
-            return not self._eval(f.body, env)
-        if isinstance(f, OrF):
-            return self._eval(f.left, env) or self._eval(f.right, env)
-        if isinstance(f, AndF):
-            return self._eval(f.left, env) and self._eval(f.right, env)
-        if isinstance(f, ImpliesF):
-            return (not self._eval(f.left, env)) or self._eval(f.right, env)
-        if isinstance(f, IffF):
-            return self._eval(f.left, env) == self._eval(f.right, env)
-        if isinstance(f, ExistsF):
-            return self._quant(f.var, f.second_order, f.body, env, any_of=True)
-        if isinstance(f, ForallF):
-            return self._quant(f.var, f.second_order, f.body, env, any_of=False)
-        if isinstance(f, EqF):
-            return env[f.left] == env[f.right]
-        if isinstance(f, InF):
-            return env[f.element] in env[f.setvar]
-        if isinstance(f, LabelF):
-            return self.msc.labels[env[f.var]] == f.action
-        if isinstance(f, PredF):
-            return self._pred(f, env)
-        if isinstance(f, RelF):
-            return self._rel_holds(f.rel, env[f.left], env[f.right], env)
-        raise TypeError(f"unknown formula node {f!r}")
-
-    def _quant(self, var: str, second_order: bool, body: Formula, env: dict, any_of: bool) -> bool:
-        saved = env.get(var, _MISSING)
-        try:
-            if second_order:
-                domain = self._subsets()
-            else:
-                domain = self.events
-            for value in domain:
-                env[var] = value
-                result = self._eval(body, env)
-                if result == any_of:
-                    return any_of
-            return not any_of
-        finally:
-            if saved is _MISSING:
-                env.pop(var, None)
-            else:
-                env[var] = saved
-
-    def _subsets(self):
-        for size in range(len(self.events) + 1):
-            for combo in combinations(self.events, size):
-                yield frozenset(combo)
-
-    def _pred(self, f: PredF, env: dict) -> bool:
-        labels = [self.msc.labels[env[v]] for v in f.args]
-        name = f.name
-        if name == "send":
-            return labels[0].is_send
-        if name == "recv":
-            return not labels[0].is_send
-        a, b = labels
-        if name == "both_sends":
-            return a.is_send and b.is_send
-        if name == "both_receives":
-            return not a.is_send and not b.is_send
-        if name == "same_channel_sends":
-            return a.is_send and b.is_send and a.channel == b.channel
-        if name == "same_receiver_sends":
-            return a.is_send and b.is_send and a.receiver == b.receiver
-        if name == "same_sender_sends":
-            return a.is_send and b.is_send and a.sender == b.sender
-        if name == "same_sender_receives":
-            return not a.is_send and not b.is_send and a.sender == b.sender
-        raise MscError(f"unknown predicate {name!r}")
-
-    # -- binary relations ------------------------------------------------
-
-    def _rel_holds(self, r: RelExpr, e1: int, e2: int, env: dict) -> bool:
-        if isinstance(r, PrimRel):
-            if r.name == "succ":
-                return (e1, e2) in self.msc.succ_edges
-            return (e1, e2) in self.msc.msg_edges
-        if isinstance(r, NamedRel):
-            return (e1, e2) in self.named_edges(r.name, r.k)
-        if isinstance(r, DefRel):
-            savedx = env.get(r.xvar, _MISSING)
-            savedy = env.get(r.yvar, _MISSING)
-            env[r.xvar], env[r.yvar] = e1, e2
-            try:
-                return self._eval(r.body, env)
-            finally:
-                for var, saved in ((r.xvar, savedx), (r.yvar, savedy)):
-                    if saved is _MISSING:
-                        env.pop(var, None)
-                    else:
-                        env[var] = saved
-        if isinstance(r, UnionRel):
-            return any(self._rel_holds(p, e1, e2, env) for p in r.parts)
-        if isinstance(r, ClosureRel):
-            if self.closure_mode == "subset":
-                return self._closure_by_subsets(r, e1, e2, env)
-            return (e1, e2) in self._closure_edges(r, env)
-        raise TypeError(f"unknown relation node {r!r}")
-
-    def _env_signature(self, r: RelExpr, env: dict) -> tuple:
-        fv = sorted(rel_free_vars(r))
-        return tuple((v, env[v]) for v in fv)
-
-    def _edges_of(self, r: RelExpr, env: dict) -> frozenset[tuple[int, int]]:
-        key = (r, self._env_signature(r, env))
-        if key not in self._materialized:
-            edges = frozenset(
-                (a, b)
-                for a in self.events
-                for b in self.events
-                if self._rel_holds(r, a, b, env)
+        if (has_so or has_closure) and len(self.msc.events) > self.so_limit:
+            raise SoLimitError(
+                f"{len(self.msc.events)} events exceed the second-order cap {self.so_limit}"
             )
-            self._materialized[key] = edges
-        return self._materialized[key]
-
-    def _closure_edges(self, r: ClosureRel, env: dict) -> frozenset[tuple[int, int]]:
-        key = (r, self._env_signature(r, env))
-        if key not in self._materialized:
-            base = RelationGraph.of(self.events, self._edges_of(r.inner, env))
-            self._materialized[key] = relations.transitive_closure(base, r.reflexive).edges
-        return self._materialized[key]
-
-    def _closure_by_subsets(self, r: ClosureRel, e1: int, e2: int, env: dict) -> bool:
-        """The second-order encoding: e2 belongs to every forward-closed
-        set that contains e1 (reflexive case) or all successors reached
-        from e1 (strict case)."""
-        edges = self._edges_of(r.inner, env)
-        for X in self._subsets():
-            if r.reflexive:
-                if e1 not in X:
-                    continue
-                closed = all(t in X for (z, t) in edges if z in X)
-            else:
-                closed = all(t in X for (z, t) in edges if z in X or z == e1)
-            if closed and e2 not in X:
-                return False
-        return True
-
-
-class _Missing:
-    pass
-
-
-_MISSING = _Missing()
+        if plan is None:
+            compiler = _Compiler(self.closure_mode == "subset")
+            plan = _Plan(compiler.formula(formula), compiler.slots, free, has_so, has_closure)
+            if len(_PLANS) >= _PLAN_LIMIT:
+                del _PLANS[next(iter(_PLANS))]
+            _PLANS[key] = plan
+        return plan.run(_Binding(self.msc, plan.slots), env)
 
 
 def evaluate(
@@ -468,14 +325,64 @@ def evaluate(
     return Evaluator(msc, so_limit=so_limit, closure_mode=closure_mode).check(formula, env)
 
 
+def _subsets(events):
+    """Every set of `events`, smallest first."""
+    for size in range(len(events) + 1):
+        for combo in combinations(events, size):
+            yield frozenset(combo)
+
+
 # -- compiled evaluation ---------------------------------------------------------
 #
-# A compiled formula is a closure taking the environment dict (variable ->
-# event id, or frozenset of ids for a set variable).  Quantifiers bind
-# their variable in that dict and restore the outer value on exit.
+# A compiled formula is a closure ``run(ctx, env) -> bool``.  `ctx` is the
+# binding of one check (:class:`_Binding`); `env` maps a variable to an
+# event id, or to a frozenset of ids for a set variable.  Quantifiers bind
+# their variable in `env` and restore the outer value on exit.
 
 
-def _true(env: dict) -> bool:
+class _Plan:
+    """A compiled formula, without a chart: its closure, the number of
+    relation memo slots a binding needs, and the facts `check` reads before
+    running it."""
+
+    __slots__ = ("run", "slots", "free", "has_so", "has_closure")
+
+    def __init__(self, run, slots: int, free: frozenset[str], has_so: bool, has_closure: bool):
+        self.run, self.slots, self.free = run, slots, free
+        self.has_so, self.has_closure = has_so, has_closure
+
+
+# Plans by (formula, closure mode).  Formulas are frozen dataclasses,
+# equal by value, and `builtin` and `parse_formula` build equal values on
+# every call, so a formula checked on many charts is compiled once.  The
+# oldest plan goes when the cache is full.
+_PLAN_LIMIT = 64
+_PLANS: dict[tuple[Formula, str], _Plan] = {}
+
+
+class _Binding:
+    """What one check adds to a plan: the chart, its events and labels,
+    one memo slot per relation node of the plan, and the rows the join of
+    a defined relation is recording."""
+
+    __slots__ = ("msc", "events", "labels", "memo", "rows")
+
+    def __init__(self, msc: Msc, slots: int):
+        self.msc = msc
+        self.events = msc.events
+        self.labels = msc.labels
+        self.memo: list = [None] * slots
+        self.rows: list[tuple[int, int]] = []
+
+
+class _Missing:
+    pass
+
+
+_MISSING = _Missing()
+
+
+def _true(ctx: _Binding, env: dict) -> bool:
     return True
 
 
@@ -487,7 +394,7 @@ def _all(tests: list) -> object:
     if len(tests) == 1:
         return tests[0]
     first, rest = tests[0], _all(tests[1:])
-    return lambda env: first(env) and rest(env)
+    return lambda ctx, env: first(ctx, env) and rest(ctx, env)
 
 
 def _save(env: dict, names) -> list:
@@ -512,61 +419,54 @@ def _peel_exists(f: Formula) -> tuple[str, Formula] | None:
     return None
 
 
-def _conjuncts(f: Formula, out: list[Formula]) -> None:
-    """Append the conjuncts of `f`, pushing negation through ~, | and =>."""
+def _conjuncts(f: Formula, out: list[Formula]) -> list[Formula]:
+    """Append the conjuncts of `f` to `out`, pushing negation through ~,
+    | and =>, and return `out`."""
     if isinstance(f, AndF):
         _conjuncts(f.left, out)
-        _conjuncts(f.right, out)
-        return
+        return _conjuncts(f.right, out)
     if isinstance(f, NotF):
         g = f.body
         if isinstance(g, NotF):
-            _conjuncts(g.body, out)
-            return
+            return _conjuncts(g.body, out)
         if isinstance(g, OrF):
             _conjuncts(NotF(g.left), out)
-            _conjuncts(NotF(g.right), out)
-            return
+            return _conjuncts(NotF(g.right), out)
         if isinstance(g, ImpliesF):
             _conjuncts(g.left, out)
-            _conjuncts(NotF(g.right), out)
-            return
+            return _conjuncts(NotF(g.right), out)
     out.append(f)
+    return out
+
+
+# Most disjuncts a conjunction is split into by distributing it over
+# the disjunctions among its conjuncts.
+_MAX_DISJUNCTS = 8
+
+
+def _disjuncts(f: Formula) -> list[Formula]:
+    """`f` as a disjunction: `|` splits it, and `&` distributes over the
+    disjuncts of its two sides while that gives at most _MAX_DISJUNCTS."""
+    if isinstance(f, OrF):
+        return _disjuncts(f.left) + _disjuncts(f.right)
+    if isinstance(f, AndF):
+        left, right = _disjuncts(f.left), _disjuncts(f.right)
+        if 1 < len(left) * len(right) <= _MAX_DISJUNCTS:
+            return [AndF(a, b) for a in left for b in right]
+    return [f]
 
 
 class _Rel:
-    """A compiled relation node.  `index(env)` materialises it as a
+    """A compiled relation node.  `index(ctx, env)` materialises it as a
     :class:`RelationGraph` for the values of its free variables `fv`,
-    once per distinct value tuple.
-    A `lazy` node is tested pair by pair with `holds(env, a, b)` and has
-    no cheap index, so quantifiers never range over it."""
+    once per distinct value tuple and binding.
+    A `lazy` node is tested pair by pair with `holds(ctx, env, a, b)` and
+    has no cheap index, so quantifiers never range over it."""
 
     __slots__ = ("fv", "lazy", "index", "holds")
 
     def __init__(self, fv: tuple[str, ...], lazy: bool, index, holds):
         self.fv, self.lazy, self.index, self.holds = fv, lazy, index, holds
-
-
-def _memo(fv: tuple[str, ...], build) -> object:
-    if not fv:
-        once: list[RelationGraph] = []
-
-        def index_once(env: dict) -> RelationGraph:
-            if not once:
-                once.append(build(env))
-            return once[0]
-
-        return index_once
-    cache: dict[tuple, RelationGraph] = {}
-
-    def index(env: dict) -> RelationGraph:
-        key = tuple([env[v] for v in fv])
-        got = cache.get(key)
-        if got is None:
-            got = cache[key] = build(env)
-        return got
-
-    return index
 
 
 # Label predicates of PredF, on the Action of each argument.
@@ -583,113 +483,134 @@ _LABEL_TESTS = {
 
 
 class _Compiler:
-    """Compiles formulas for one evaluator into closures ``env -> bool``.
+    """Compiles a formula, without a chart, into the closure of its plan.
 
-    Every relation atom is materialised once per binding of its free
+    The closures read the chart only from the binding they are handed, so
+    one plan serves every chart.  Every relation node gets a memo slot in
+    the binding, where it is materialised once per binding of its free
     variables into a :class:`RelationGraph`, whose successor and
-    predecessor maps the quantifiers range over.  A block of
-    first-order existentials over a conjunction runs as a join: each
-    variable in turn ranges over the neighbours of a bound variable
-    through a relation conjunct where one exists, over all events
-    otherwise, and each other conjunct is tested as soon as its variables
-    are bound.  ``A v. phi`` is ``~E v. ~phi``.  Second-order quantifiers
-    and subset-encoded closures enumerate event sets as `_eval` does.
+    predecessor maps the quantifiers range over.
+
+    One join builder, :meth:`join`, serves quantifier blocks and defined
+    relations.  It takes a block of first-order existentials over a
+    conjunction and flattens positive existential conjuncts into the
+    block.  Each variable in turn then ranges over the neighbours of a
+    bound variable through a relation conjunct where one exists, over all
+    events otherwise, and each other conjunct is tested as soon as its
+    variables are bound.  ``A v. phi`` is ``~E v. ~phi``.  A defined
+    relation runs one join per disjunct of its body, with its two marked
+    variables in the block, and records their values at every match.
+    Second-order quantifiers, relations defined by second-order bodies,
+    and subset-encoded closures enumerate event sets instead.
     """
 
-    def __init__(self, ev: Evaluator):
-        self.ev = ev
-        self.events = ev.events
-        self.labels = ev.msc.labels
-        self.subset_closures = ev.closure_mode == "subset"
+    def __init__(self, subset_closures: bool):
+        self.subset_closures = subset_closures
         self.free: dict[int, tuple] = {}  # the memo of _free
         self.rels: dict[int, tuple[RelExpr, _Rel]] = {}
+        self.slots = 0
 
     def formula(self, f: Formula):
         if isinstance(f, TrueF):
             return _true
         if isinstance(f, NotF):
             body = self.formula(f.body)
-            return lambda env: not body(env)
+            return lambda ctx, env: not body(ctx, env)
         if isinstance(f, (OrF, AndF, ImpliesF, IffF)):
             left, right = self.formula(f.left), self.formula(f.right)
             if isinstance(f, OrF):
-                return lambda env: left(env) or right(env)
+                return lambda ctx, env: left(ctx, env) or right(ctx, env)
             if isinstance(f, AndF):
-                return lambda env: left(env) and right(env)
+                return lambda ctx, env: left(ctx, env) and right(ctx, env)
             if isinstance(f, ImpliesF):
-                return lambda env: not left(env) or right(env)
-            return lambda env: left(env) == right(env)
+                return lambda ctx, env: not left(ctx, env) or right(ctx, env)
+            return lambda ctx, env: left(ctx, env) == right(ctx, env)
         if isinstance(f, ExistsF):
             return self.exists(f)
         if isinstance(f, ForallF):
             return self.formula(NotF(ExistsF(f.var, f.second_order, NotF(f.body))))
         if isinstance(f, EqF):
             a, b = f.left, f.right
-            return lambda env: env[a] == env[b]
+            return lambda ctx, env: env[a] == env[b]
         if isinstance(f, InF):
             a, s = f.element, f.setvar
-            return lambda env: env[a] in env[s]
-        labels = self.labels
+            return lambda ctx, env: env[a] in env[s]
         if isinstance(f, LabelF):
             v, action = f.var, f.action
-            return lambda env: labels[env[v]] == action
+            return lambda ctx, env: ctx.labels[env[v]] == action
         if isinstance(f, PredF):
             if f.name not in _LABEL_TESTS:
                 raise MscError(f"unknown predicate {f.name!r}")
             test = _LABEL_TESTS[f.name]
             if len(f.args) == 1:
                 (a,) = f.args
-                return lambda env: test(labels[env[a]])
+                return lambda ctx, env: test(ctx.labels[env[a]])
             a, b = f.args
-            return lambda env: test(labels[env[a]], labels[env[b]])
+            return lambda ctx, env: test(ctx.labels[env[a]], ctx.labels[env[b]])
         if isinstance(f, RelF):
             rel, a, b = self.rel(f.rel), f.left, f.right
             if rel.lazy:
                 holds = rel.holds
-                return lambda env: holds(env, env[a], env[b])
+                return lambda ctx, env: holds(ctx, env, env[a], env[b])
             index = rel.index
-            return lambda env: (env[a], env[b]) in index(env).edges
+            return lambda ctx, env: (env[a], env[b]) in index(ctx, env).edges
         raise TypeError(f"unknown formula node {f!r}")
 
     # -- quantifiers ----------------------------------------------------
 
     def exists(self, f: ExistsF):
-        if f.second_order:
-            var, body, subsets = f.var, self.formula(f.body), self.ev._subsets
+        if not f.second_order:
+            return self.join([], [f])
+        var, body = f.var, self.formula(f.body)
 
-            def some_set(env: dict) -> bool:
-                saved = _save(env, (var,))
-                try:
-                    for value in subsets():
-                        env[var] = value
-                        if body(env):
-                            return True
-                    return False
-                finally:
-                    _restore(env, saved)
+        def some_set(ctx: _Binding, env: dict) -> bool:
+            saved = _save(env, (var,))
+            try:
+                for value in _subsets(ctx.events):
+                    env[var] = value
+                    if body(ctx, env):
+                        return True
+                return False
+            finally:
+                _restore(env, saved)
 
-            return some_set
+        return some_set
 
-        block: list[str] = []
-        body: Formula = f
-        while (peeled := _peel_exists(body)) is not None:
-            block.append(peeled[0])
-            body = peeled[1]
-        conjuncts: list[Formula] = []
-        _conjuncts(body, conjuncts)
+    def join(self, block: list, conjuncts: list[Formula], outputs=(), then=_true):
+        """``E block. /\\ conjuncts`` as a join.
+
+        A conjunct ``E v. phi`` (or ``~A v. ~phi``) joins the block as `v`
+        and the conjuncts of `phi`, unless `v` is already in the block or
+        is free in another conjunct.  The closure returned
+        binds the block and runs `then` at every match; the search stops
+        at the first match for which `then` returns true.  Once the
+        variables in `outputs` are bound, the rest of the block is only
+        tested for a match, so `then` runs once per value of `outputs`."""
+        block, conjuncts = list(block), list(conjuncts)
+        i = 0
+        while i < len(conjuncts):
+            peeled = _peel_exists(conjuncts[i])
+            others = conjuncts[:i] + conjuncts[i + 1 :]
+            if (
+                peeled is not None
+                and peeled[0] not in block
+                and all(peeled[0] not in _free(c, self.free) for c in others)
+            ):
+                block.append(peeled[0])
+                conjuncts[i : i + 1] = _conjuncts(peeled[1], [])
+            else:
+                i += 1
         first, steps = self._plan(block, conjuncts)
-
-        run = _true
-        for var, source, tests in reversed(steps):
-            run = self._bind(var, source, _all(tests + [run]))
+        last = max((i for i, step in enumerate(steps) if step[0] in outputs), default=-1)
+        run = self._chain(steps[: last + 1], _all([self._chain(steps[last + 1 :], _true), then]))
         guard = _all(first)
 
-        def join(env: dict) -> bool:
-            if not guard(env):
+        def join(ctx: _Binding, env: dict) -> bool:
+            if not guard(ctx, env):
                 return False
             saved = _save(env, block)
             try:
-                return run(env)
+                return run(ctx, env)
             finally:
                 _restore(env, saved)
 
@@ -740,26 +661,31 @@ class _Compiler:
                 return (rel.index, c.right, False), entry
         return None
 
+    def _chain(self, steps: list, then):
+        """Bind the variables of `steps` in order, then run `then`."""
+        for var, source, tests in reversed(steps):
+            then = self._bind(var, source, _all(tests + [then]))
+        return then
+
     def _bind(self, var: str, source, then):
         if source is None:
-            events = self.events
 
-            def each_event(env: dict) -> bool:
-                for value in events:
+            def each_event(ctx: _Binding, env: dict) -> bool:
+                for value in ctx.events:
                     env[var] = value
-                    if then(env):
+                    if then(ctx, env):
                         return True
                 return False
 
             return each_event
         index, other, forward = source
 
-        def each_neighbour(env: dict) -> bool:
-            rel = index(env)
+        def each_neighbour(ctx: _Binding, env: dict) -> bool:
+            rel = index(ctx, env)
             near = rel.adjacency() if forward else rel.predecessors
             for value in near.get(env[other], ()):
                 env[var] = value
-                if then(env):
+                if then(ctx, env):
                     return True
             return False
 
@@ -777,49 +703,26 @@ class _Compiler:
 
     def _compile_rel(self, r: RelExpr) -> _Rel:
         fv = tuple(sorted(_free(r, self.free)))
-        events, msc = self.events, self.ev.msc
         if isinstance(r, PrimRel):
-            edges = msc.succ_edges if r.name == "succ" else msc.msg_edges
-            return self._materialised(fv, lambda env: RelationGraph.of(events, edges))
+            attr = "succ_edges" if r.name == "succ" else "msg_edges"
+            return self._materialised(
+                fv, lambda ctx, env: RelationGraph.of(ctx.events, getattr(ctx.msc, attr))
+            )
         if isinstance(r, NamedRel):
-            return self._materialised(fv, lambda env: relations.named(msc, r.name, r.k))
+            name, k = r.name, r.k
+            return self._materialised(fv, lambda ctx, env: relations.named(ctx.msc, name, k))
         if isinstance(r, DefRel):
-            body, x, y = self.formula(r.body), r.xvar, r.yvar
-            if _has_so(r.body) or (self.subset_closures and _has_closure(r.body)):
-
-                def holds(env: dict, a: int, b: int) -> bool:
-                    saved = _save(env, (x, y))
-                    env[x], env[y] = a, b
-                    try:
-                        return body(env)
-                    finally:
-                        _restore(env, saved)
-
-                return self._lazy(fv, holds)
-
-            def pairs(env: dict) -> RelationGraph:
-                saved = _save(env, (x, y))
-                try:
-                    out = []
-                    for a in events:
-                        env[x] = a
-                        for b in events:
-                            env[y] = b
-                            if body(env):
-                                out.append((a, b))
-                    return RelationGraph.of(events, out)
-                finally:
-                    _restore(env, saved)
-
-            return self._materialised(fv, pairs)
+            return self._defined(r, fv)
         if isinstance(r, UnionRel):
             parts = [self.rel(p) for p in r.parts]
             if any(p.lazy for p in parts):
-                return self._lazy(fv, lambda env, a, b: any(p.holds(env, a, b) for p in parts))
+                return self._lazy(
+                    fv, lambda ctx, env, a, b: any(p.holds(ctx, env, a, b) for p in parts)
+                )
             return self._materialised(
                 fv,
-                lambda env: RelationGraph.of(
-                    events, frozenset().union(*(p.index(env).edges for p in parts))
+                lambda ctx, env: RelationGraph.of(
+                    ctx.events, frozenset().union(*(p.index(ctx, env).edges for p in parts))
                 ),
             )
         if isinstance(r, ClosureRel):
@@ -827,43 +730,109 @@ class _Compiler:
             if self.subset_closures:
                 return self._lazy(
                     fv,
-                    lambda env, a, b: self._subset_closure(
-                        inner.index(env).edges, reflexive, a, b
+                    lambda ctx, env, a, b: _subset_closure(
+                        ctx.events, inner.index(ctx, env).edges, reflexive, a, b
                     ),
                 )
 
-            def closed(env: dict) -> RelationGraph:
-                succ = inner.index(env).adjacency()
-                adj = {e: succ.get(e, ()) for e in events}
+            def closed(ctx: _Binding, env: dict) -> RelationGraph:
+                succ = inner.index(ctx, env).adjacency()
+                adj = {e: succ.get(e, ()) for e in ctx.events}
                 return RelationGraph(graph.reach(adj, reflexive=reflexive))
 
             return self._materialised(fv, closed)
         raise TypeError(f"unknown relation node {r!r}")
 
+    def _defined(self, r: DefRel, fv: tuple[str, ...]) -> _Rel:
+        x, y = r.xvar, r.yvar
+        if _has_so(r.body) or (self.subset_closures and _has_closure(r.body)):
+            body = self.formula(r.body)
+
+            def holds(ctx: _Binding, env: dict, a: int, b: int) -> bool:
+                saved = _save(env, (x, y))
+                env[x], env[y] = a, b
+                try:
+                    return body(ctx, env)
+                finally:
+                    _restore(env, saved)
+
+            return self._lazy(fv, holds)
+        if x == y:
+            # the right argument overwrites the left one, which then ranges
+            # over all events: give it a name no formula can use
+            x = _Missing()
+
+        def record(ctx: _Binding, env: dict) -> bool:
+            ctx.rows.append((env[x], env[y]))
+            return False
+
+        joins = [
+            self.join([x, y], _conjuncts(d, []), (x, y), record)
+            for d in _disjuncts(r.body)
+        ]
+
+        def rows(ctx: _Binding, env: dict) -> RelationGraph:
+            outer, ctx.rows = ctx.rows, []
+            try:
+                for join in joins:
+                    join(ctx, env)
+                return RelationGraph.of(ctx.events, ctx.rows)
+            finally:
+                ctx.rows = outer
+
+        return self._materialised(fv, rows)
+
+    def _memo(self, fv: tuple[str, ...], build):
+        """`build(ctx, env)` once per binding and value tuple of `fv`, kept
+        in a memo slot of the binding."""
+        slot = self.slots
+        self.slots += 1
+        if not fv:
+
+            def index_once(ctx: _Binding, env: dict) -> RelationGraph:
+                got = ctx.memo[slot]
+                if got is None:
+                    got = ctx.memo[slot] = build(ctx, env)
+                return got
+
+            return index_once
+
+        def index(ctx: _Binding, env: dict) -> RelationGraph:
+            cache = ctx.memo[slot]
+            if cache is None:
+                cache = ctx.memo[slot] = {}
+            key = tuple([env[v] for v in fv])
+            got = cache.get(key)
+            if got is None:
+                got = cache[key] = build(ctx, env)
+            return got
+
+        return index
+
     def _materialised(self, fv: tuple[str, ...], build) -> _Rel:
-        index = _memo(fv, build)
-        return _Rel(fv, False, index, lambda env, a, b: (a, b) in index(env).edges)
+        index = self._memo(fv, build)
+        return _Rel(fv, False, index, lambda ctx, env, a, b: (a, b) in index(ctx, env).edges)
 
     def _lazy(self, fv: tuple[str, ...], holds) -> _Rel:
-        events = self.events
-        index = _memo(
-            fv,
-            lambda env: RelationGraph.of(
-                events, [(a, b) for a in events for b in events if holds(env, a, b)]
-            ),
-        )
-        return _Rel(fv, True, index, holds)
+        def pairs(ctx: _Binding, env: dict) -> RelationGraph:
+            events = ctx.events
+            return RelationGraph.of(
+                events, [(a, b) for a in events for b in events if holds(ctx, env, a, b)]
+            )
 
-    def _subset_closure(self, edges, reflexive: bool, e1: int, e2: int) -> bool:
-        """e2 lies in every forward-closed event set that holds e1
-        (reflexive) or the successors of e1 (strict)."""
-        for X in self.ev._subsets():
-            if reflexive and e1 not in X:
-                continue
-            starts = X if reflexive else X | {e1}
-            if e2 not in X and all(t in X for z, t in edges if z in starts):
-                return False
-        return True
+        return _Rel(fv, True, self._memo(fv, pairs), holds)
+
+
+def _subset_closure(events, edges, reflexive: bool, e1: int, e2: int) -> bool:
+    """e2 lies in every forward-closed event set that holds e1
+    (reflexive) or the successors of e1 (strict)."""
+    for X in _subsets(events):
+        if reflexive and e1 not in X:
+            continue
+        starts = X if reflexive else X | {e1}
+        if e2 not in X and all(t in X for z, t in edges if z in starts):
+            return False
+    return True
 
 
 # -- formula construction helpers ----------------------------------------------

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -7,7 +9,7 @@ from conftest import random_msc
 from msckit import mso, relations
 from msckit.bounded import exists_k_bounded, forall_k_bounded
 from msckit.classify import MODELS, classify, membership
-from msckit.core import EMPTY_MSC, MscError, recv, send
+from msckit.core import EMPTY_MSC, Msc, MscError, RelationGraph, recv, send
 from msckit.corpus import EXAMPLES, example
 from msckit.mso import (
     MAX_NESTING,
@@ -37,7 +39,9 @@ from msckit.mso import (
     evaluate,
     free_vars,
     parse_formula,
+    rel_free_vars,
 )
+from msckit.relations import NotP2pError
 
 NO_UNMATCHED = "~E x. (send(x) & ~matched(x))"
 
@@ -273,9 +277,14 @@ def test_nesting_at_the_cap_parses_and_evaluates(text):
     assert evaluate(example("relay"), parse_formula(text))
 
 
+def atom_edges(m, rel):
+    """The pairs the compiled evaluator puts in relation `rel` on `m`."""
+    atom = RelF(rel, "x", "y")
+    return {(a, b) for a in m.events for b in m.events if evaluate(m, atom, {"x": a, "y": b})}
+
+
 def test_named_relations_come_from_one_table():
     m = example("overtake")
-    ev = Evaluator(m)
     for name in relations.NAMED:
         if name in relations.K_INDEXED:
             for k in (0, 1, 2):
@@ -283,18 +292,18 @@ def test_named_relations_come_from_one_table():
                 assert parse_formula(text) == ExistsF("x", False, ExistsF(
                     "y", False, RelF(NamedRel(name, k), "x", "y")
                 ))
-                assert ev.named_edges(name, k) == relations.named(m, name, k).edges
+                assert atom_edges(m, NamedRel(name, k)) == relations.named(m, name, k).edges
             with pytest.raises(MsoSyntaxError):
                 parse_formula(f"E x. {name}(x, x)")
         else:
             assert parse_formula(f"E x. {name}+(x, x)") == ExistsF(
                 "x", False, RelF(ClosureRel(NamedRel(name), False), "x", "x")
             )
-            assert ev.named_edges(name, None) == relations.named(m, name).edges
-    assert ev.named_edges("relb", 0) == relations.relb(m, 0).edges
-    assert ev.named_edges("relb", None) == relations.relb(m, 1).edges
+            assert atom_edges(m, NamedRel(name)) == relations.named(m, name).edges
+    assert atom_edges(m, NamedRel("relb", 0)) == relations.relb(m, 0).edges
+    assert atom_edges(m, NamedRel("relb")) == relations.relb(m, 1).edges
     with pytest.raises(MscError):
-        ev.named_edges("nope", None)
+        evaluate(m, RelF(NamedRel("nope"), "x", "x"), {"x": m.events[0]})
     with pytest.raises(MsoSyntaxError):
         parse_formula("E x. nope(x, x)")
     with pytest.raises(MsoSyntaxError):
@@ -314,9 +323,171 @@ def test_guards_run_before_evaluation(monkeypatch):
         evaluate(
             example("overtake"), parse_formula("E x. mb+(x, x)"), closure_mode="subset", so_limit=4
         )
+    # a cached plan answers the guards from the facts it keeps, without
+    # compiling again, before it runs
+    monkeypatch.undo()
+    small = example("relay")
+    for text, mode in (("E X. A x. x in X", "native"), ("E x. mb+(x, x)", "subset")):
+        evaluate(small, parse_formula(text), closure_mode=mode, so_limit=len(small.events))
+    evaluate(small, parse_formula("matched(x)"), {"x": small.events[0]})
+    monkeypatch.setattr(mso, "_Compiler", refuse)
+    with pytest.raises(MscError, match="unassigned"):
+        evaluate(small, parse_formula("matched(x)"))
+    with pytest.raises(SoLimitError):
+        evaluate(example("overtake"), parse_formula("E X. A x. x in X"), so_limit=4)
+    with pytest.raises(SoLimitError):
+        evaluate(
+            example("overtake"), parse_formula("E x. mb+(x, x)"), closure_mode="subset", so_limit=4
+        )
+    assert evaluate(small, parse_formula("E X. A x. x in X"), so_limit=len(small.events))
 
 
-# -- the compiled evaluator against the `_eval` reference ---------------------
+# -- the compiled evaluator against the tree-walking reference ----------------
+
+
+class _Missing:
+    pass
+
+
+_MISSING = _Missing()
+
+
+class Reference:
+    """The tree-walking reference the compiled evaluator is tested
+    against: it evaluates one node per call and tests relations pair by
+    pair, materialising only the inner relation of a closure."""
+
+    def __init__(self, msc, closure_mode="native"):
+        self.msc = msc
+        self.events = list(msc.events)
+        self.closure_mode = closure_mode
+        self.materialized = {}
+
+    def eval(self, f, env):
+        if isinstance(f, TrueF):
+            return True
+        if isinstance(f, NotF):
+            return not self.eval(f.body, env)
+        if isinstance(f, OrF):
+            return self.eval(f.left, env) or self.eval(f.right, env)
+        if isinstance(f, AndF):
+            return self.eval(f.left, env) and self.eval(f.right, env)
+        if isinstance(f, ImpliesF):
+            return (not self.eval(f.left, env)) or self.eval(f.right, env)
+        if isinstance(f, IffF):
+            return self.eval(f.left, env) == self.eval(f.right, env)
+        if isinstance(f, ExistsF):
+            return self.quant(f.var, f.second_order, f.body, env, any_of=True)
+        if isinstance(f, ForallF):
+            return self.quant(f.var, f.second_order, f.body, env, any_of=False)
+        if isinstance(f, EqF):
+            return env[f.left] == env[f.right]
+        if isinstance(f, InF):
+            return env[f.element] in env[f.setvar]
+        if isinstance(f, LabelF):
+            return self.msc.labels[env[f.var]] == f.action
+        if isinstance(f, PredF):
+            return self.pred(f, env)
+        if isinstance(f, RelF):
+            return self.rel_holds(f.rel, env[f.left], env[f.right], env)
+        raise TypeError(f"unknown formula node {f!r}")
+
+    def quant(self, var, second_order, body, env, any_of):
+        saved = env.get(var, _MISSING)
+        try:
+            for value in mso._subsets(self.events) if second_order else self.events:
+                env[var] = value
+                if self.eval(body, env) == any_of:
+                    return any_of
+            return not any_of
+        finally:
+            if saved is _MISSING:
+                env.pop(var, None)
+            else:
+                env[var] = saved
+
+    def pred(self, f, env):
+        labels = [self.msc.labels[env[v]] for v in f.args]
+        name = f.name
+        if name == "send":
+            return labels[0].is_send
+        if name == "recv":
+            return not labels[0].is_send
+        a, b = labels
+        if name == "both_sends":
+            return a.is_send and b.is_send
+        if name == "both_receives":
+            return not a.is_send and not b.is_send
+        if name == "same_channel_sends":
+            return a.is_send and b.is_send and a.channel == b.channel
+        if name == "same_receiver_sends":
+            return a.is_send and b.is_send and a.receiver == b.receiver
+        if name == "same_sender_sends":
+            return a.is_send and b.is_send and a.sender == b.sender
+        if name == "same_sender_receives":
+            return not a.is_send and not b.is_send and a.sender == b.sender
+        raise MscError(f"unknown predicate {name!r}")
+
+    def rel_holds(self, r, e1, e2, env):
+        if isinstance(r, PrimRel):
+            if r.name == "succ":
+                return (e1, e2) in self.msc.succ_edges
+            return (e1, e2) in self.msc.msg_edges
+        if isinstance(r, NamedRel):
+            return (e1, e2) in relations.named(self.msc, r.name, r.k).edges
+        if isinstance(r, DefRel):
+            saved = [(v, env.get(v, _MISSING)) for v in (r.xvar, r.yvar)]
+            env[r.xvar], env[r.yvar] = e1, e2
+            try:
+                return self.eval(r.body, env)
+            finally:
+                for var, value in saved:
+                    if value is _MISSING:
+                        env.pop(var, None)
+                    else:
+                        env[var] = value
+        if isinstance(r, UnionRel):
+            return any(self.rel_holds(p, e1, e2, env) for p in r.parts)
+        if isinstance(r, ClosureRel):
+            if self.closure_mode == "subset":
+                return self.closure_by_subsets(r, e1, e2, env)
+            return (e1, e2) in self.closure_edges(r, env)
+        raise TypeError(f"unknown relation node {r!r}")
+
+    def env_signature(self, r, env):
+        return tuple((v, env[v]) for v in sorted(rel_free_vars(r)))
+
+    def edges_of(self, r, env):
+        key = (r, self.env_signature(r, env))
+        if key not in self.materialized:
+            self.materialized[key] = frozenset(
+                (a, b) for a in self.events for b in self.events if self.rel_holds(r, a, b, env)
+            )
+        return self.materialized[key]
+
+    def closure_edges(self, r, env):
+        key = (r, self.env_signature(r, env))
+        if key not in self.materialized:
+            base = RelationGraph.of(self.events, self.edges_of(r.inner, env))
+            self.materialized[key] = relations.transitive_closure(base, r.reflexive).edges
+        return self.materialized[key]
+
+    def closure_by_subsets(self, r, e1, e2, env):
+        """The second-order encoding: e2 belongs to every forward-closed
+        set that contains e1 (reflexive case) or all successors reached
+        from e1 (strict case)."""
+        edges = self.edges_of(r.inner, env)
+        for X in mso._subsets(self.events):
+            if r.reflexive:
+                if e1 not in X:
+                    continue
+                closed = all(t in X for (z, t) in edges if z in X)
+            else:
+                closed = all(t in X for (z, t) in edges if z in X or z == e1)
+            if closed and e2 not in X:
+                return False
+        return True
+
 
 BOUNDED_MODELS = ("asy", "p2p", "co", "mb", "onen", "nn")
 README_FORMULAS = (
@@ -343,7 +514,7 @@ ATOM_NAMES = ("mb", "onen", "bowtie", "nnrel", "mbp", "onenp", "prox")
 
 def assert_agrees(m, f, env=None, closure_mode="native"):
     got = Evaluator(m, so_limit=8, closure_mode=closure_mode).check(f, env)
-    want = Evaluator(m, closure_mode=closure_mode)._eval(f, dict(env or {}))
+    want = Reference(m, closure_mode).eval(f, dict(env or {}))
     assert got == want, (f, env, closure_mode)
 
 
@@ -505,3 +676,191 @@ def test_compiled_matches_reference_on_random_formulas(closure_mode):
     quantifiers = {"exists", "forall", "set-exists", "set-forall"}
     atoms = {"eq", "in", "label", "prim", "named", "defined", "union", "closure"}
     assert connectives | quantifiers | atoms | set(LABEL_TESTS) <= gen.seen
+
+
+# -- plans cached by formula value ----------------------------------------------
+
+SUCC, MSG = PrimRel("succ"), PrimRel("msg")
+SUCC_PLUS, SUCC_STAR = ClosureRel(SUCC, False), ClosureRel(SUCC, True)
+HB = ClosureRel(UnionRel((SUCC, MSG)), True)
+
+
+def _ex(var, body):
+    return ExistsF(var, False, body)
+
+
+# Defined relations whose bodies exercise the join that materialises them:
+# disjunctions (also under a conjunction), existentials to flatten into
+# the block, and existentials that must stay nested because their
+# variable is x, y, a sibling's free variable or another sibling's.
+DEFINED = {
+    "disjunctive": DefRel("x", "y", OrF(
+        RelF(MSG, "x", "y"),
+        AndF(PredF("both_sends", ("x", "y")), OrF(
+            RelF(SUCC, "x", "y"),
+            _ex("w", AndF(RelF(SUCC, "x", "w"), RelF(SUCC, "w", "y"))),
+        )),
+    )),
+    "shadows_x": DefRel("x", "y", AndF(RelF(SUCC_PLUS, "x", "y"), _ex("x", RelF(MSG, "x", "y")))),
+    "x_bound_only_inside": DefRel("x", "y", _ex("x", RelF(MSG, "x", "y"))),
+    "shadows_y": DefRel("x", "y", AndF(RelF(SUCC_STAR, "x", "y"), _ex("y", RelF(MSG, "x", "y")))),
+    "shadows_sibling": DefRel("x", "y", AndF(
+        _ex("z", AndF(RelF(MSG, "x", "z"), RelF(SUCC_STAR, "z", "y"))),
+        NotF(RelF(SUCC, "z", "y")),
+    )),
+    "same_name_siblings": DefRel("x", "y", AndF(
+        _ex("w", RelF(MSG, "x", "w")), _ex("w", RelF(SUCC, "w", "y"))
+    )),
+    "negated_forall": DefRel("x", "y", AndF(
+        RelF(HB, "x", "y"),
+        NotF(ForallF("w", False, NotF(AndF(RelF(SUCC, "x", "w"), RelF(SUCC_STAR, "w", "y"))))),
+    )),
+    "free_variable": DefRel("x", "y", AndF(
+        RelF(HB, "z", "x"), OrF(RelF(SUCC, "x", "y"), _ex("w", AndF(RelF(MSG, "x", "w"), RelF(SUCC_STAR, "w", "y"))))
+    )),
+    "same_marked_variable": DefRel("v", "v", _ex("w", RelF(MSG, "w", "v"))),
+}
+
+
+# Quantifier blocks with nested existentials that must stay nested: one
+# rebinds a block variable, one a variable free in a sibling conjunct.
+BLOCKS = (
+    "E x. E y. (x -> y & (E x. msg(x, y)))",
+    "A z. E x. ((E z. msg(x, z)) & z -> x)",
+    "E x. ((E w. msg(x, w)) & (E w. w -> x))",
+)
+
+
+def defined_formulas():
+    """Sentences over the relations of DEFINED: the relation itself, its
+    converse and its closure; those with the free variable `z` are
+    quantified over it, so one check materialises one relation per value."""
+    out = []
+    for r in DEFINED.values():
+        pair = _ex("a", _ex("b", AndF(RelF(r, "a", "b"), NotF(RelF(r, "b", "a")))))
+        cycle = _ex("a", RelF(ClosureRel(r, False), "a", "a"))
+        every = ForallF("a", False, _ex("b", OrF(RelF(r, "a", "b"), RelF(r, "b", "a"))))
+        for f in (pair, cycle, every):
+            out.append(ForallF("z", False, f) if "z" in rel_free_vars(r) else f)
+            if "z" in rel_free_vars(r):
+                out.append(_ex("z", f))
+    return out
+
+
+def interleaved_charts(seed, count, max_events):
+    rng = random.Random(seed)
+    charts = [example(f) for f in EXAMPLES if len(example(f).events) <= max_events]
+    charts += [random_msc(rng, max_events=max_events) for _ in range(count)]
+    rng.shuffle(charts)
+    return charts
+
+
+@pytest.fixture
+def no_plans(monkeypatch):
+    """An empty plan cache for one test, so that no plan it finds was
+    compiled by another test."""
+    monkeypatch.setattr(mso, "_PLANS", {})
+
+
+def assert_warm_plans_agree(charts, formulas, closure_mode):
+    """Every formula on every chart, chart by chart, against the
+    reference; after the first chart each formula runs on the plan it
+    was compiled into there."""
+    assert len(set(formulas)) <= mso._PLAN_LIMIT
+    plans = {}
+    for m in charts:
+        for f in formulas:
+            assert_agrees(m, f, closure_mode=closure_mode)
+            plan = plans.setdefault(f, mso._PLANS[(f, closure_mode)])
+            assert mso._PLANS[(f, closure_mode)] is plan
+
+
+@pytest.mark.parametrize("closure_mode, max_events", [("native", 7), ("subset", 5)])
+def test_warm_plans_match_reference_on_builtins(no_plans, closure_mode, max_events):
+    formulas = [builtin(model, d) for model in MODELS for d in (False, True)]
+    formulas += [parse_formula(text) for text in README_FORMULAS]
+    formulas += [
+        builtin_bounded(model, k, universal)
+        for model in BOUNDED_MODELS
+        for k in (0, 1, 2)
+        for universal in (False, True)
+    ]
+    charts = interleaved_charts(63, 5, max_events)
+    assert_warm_plans_agree(charts, list(dict.fromkeys(formulas)), closure_mode)
+
+
+@pytest.mark.parametrize("closure_mode", ["native", "subset"])
+def test_warm_plans_match_reference_on_defined_and_random_formulas(no_plans, closure_mode):
+    rng = random.Random(64)
+    charts = interleaved_charts(65, 8, 6)
+    gen = RandomFormulas(rng)
+    gen.actions = [send("p", "q", "m1"), recv("p", "q", "m1"), send("q", "p", "m2")]
+    formulas = defined_formulas() + [parse_formula(text) for text in BLOCKS]
+    formulas += [gen.formula([], [], depth=3) for _ in range(24)]
+    assert_warm_plans_agree(charts, formulas, closure_mode)
+
+
+@pytest.mark.parametrize("name", sorted(DEFINED))
+def test_defined_relations_match_reference_pair_by_pair(name):
+    r = DEFINED[name]
+    atom = RelF(r, "a", "b")
+    for m in interleaved_charts(66, 6, 7):
+        for z in m.events[:2] if "z" in rel_free_vars(r) else [None]:
+            for a in m.events:
+                for b in m.events:
+                    env = {"a": a, "b": b} if z is None else {"a": a, "b": b, "z": z}
+                    assert_agrees(m, atom, env)
+
+
+def plan_of(formula, closure_mode="native"):
+    return mso._PLANS[(formula, closure_mode)]
+
+
+def test_equal_formulas_share_one_plan():
+    evaluate(example("overtake"), builtin("nn"))
+    plan, size = plan_of(builtin("nn")), len(mso._PLANS)
+    assert builtin("nn") is not builtin("nn")
+    evaluate(example("mailbox_cross"), builtin("nn"))
+    assert parse_formula("phi_nn") == builtin("nn")
+    evaluate(example("relay"), parse_formula("phi_nn"))
+    assert plan_of(builtin("nn")) is plan and plan_of(parse_formula("phi_nn")) is plan
+    assert len(mso._PLANS) == size
+    # the closure mode is part of the key
+    evaluate(example("relay"), builtin("nn"), closure_mode="subset")
+    assert plan_of(builtin("nn"), "subset") is not plan
+
+
+def test_plan_cache_is_bounded():
+    m = example("relay")
+    texts = [f"E v{i}. (send(v{i}) & matched(v{i}))" for i in range(mso._PLAN_LIMIT + 10)]
+    for text in texts:
+        assert evaluate(m, parse_formula(text))
+        assert len(mso._PLANS) <= mso._PLAN_LIMIT
+    assert len(mso._PLANS) == mso._PLAN_LIMIT
+    assert all((parse_formula(t), "native") in mso._PLANS for t in texts[10:])
+
+
+def test_plan_answers_after_an_error_mid_run():
+    f = parse_formula("E x. E y. relb1(x, y)")
+    with pytest.raises(NotP2pError):
+        evaluate(example("crossing"), f)
+    plan = plan_of(f)
+    for name in ("producer", "train", "relay"):
+        m = example(name)
+        assert evaluate(m, f) == bool(relations.relb(m, 1).edges)
+        assert plan_of(f) is plan
+
+
+class WeakChart(Msc):
+    __slots__ = ("__weakref__",)
+
+
+def test_plan_keeps_no_reference_to_the_chart():
+    base = example("mailbox_cross")
+    chart = WeakChart(base.processes, base.labels, base.proc_order, base.matching)
+    alive = weakref.ref(chart)
+    for f in (builtin("nn"), builtin_bounded("mb", 1), parse_formula("E x. mbp(x, x)")):
+        assert evaluate(chart, f) == evaluate(base, f)
+    del chart
+    gc.collect()
+    assert alive() is None
