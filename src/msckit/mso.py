@@ -581,11 +581,11 @@ class _Compiler:
 
         A conjunct ``E v. phi`` (or ``~A v. ~phi``) joins the block as `v`
         and the conjuncts of `phi`, unless `v` is already in the block or
-        is free in another conjunct.  The closure returned
-        binds the block and runs `then` at every match; the search stops
-        at the first match for which `then` returns true.  Once the
-        variables in `outputs` are bound, the rest of the block is only
-        tested for a match, so `then` runs once per value of `outputs`."""
+        is free in another conjunct.  The closure returned binds the block
+        and runs `then` at every match; the search stops at the first match
+        for which `then` returns true.  Once the variables in `outputs` are
+        bound, the rest of the block is only tested for a match, so `then`
+        runs once per value of `outputs`."""
         block, conjuncts = list(block), list(conjuncts)
         i = 0
         while i < len(conjuncts):
@@ -601,7 +601,7 @@ class _Compiler:
             else:
                 i += 1
         first, steps = self._plan(block, conjuncts)
-        last = max((i for i, step in enumerate(steps) if step[0] in outputs), default=-1)
+        last = max((n for n, step in enumerate(steps) if step[0] in outputs), default=-1)
         run = self._chain(steps[: last + 1], _all([self._chain(steps[last + 1 :], _true), then]))
         guard = _all(first)
 

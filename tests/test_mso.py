@@ -518,10 +518,9 @@ def assert_agrees(m, f, env=None, closure_mode="native"):
     assert got == want, (f, env, closure_mode)
 
 
-def test_compiled_matches_reference_on_builtins():
-    rng = random.Random(60)
-    charts = [example(f) for f in EXAMPLES if len(example(f).events) <= 6]
-    charts += [random_msc(rng, max_events=8) for _ in range(8)]
+def builtin_formulas():
+    """The defining and boundedness formulas and the README formulas,
+    each value once."""
     formulas = [builtin(model, d) for model in MODELS for d in (False, True)]
     formulas += [parse_formula(text) for text in README_FORMULAS]
     formulas += [
@@ -530,9 +529,14 @@ def test_compiled_matches_reference_on_builtins():
         for k in (0, 1, 2)
         for universal in (False, True)
     ]
-    for m in charts:
-        for f in formulas:
-            assert_agrees(m, f)
+    return list(dict.fromkeys(formulas))
+
+
+def test_compiled_matches_reference_on_builtins(no_plans):
+    rng = random.Random(60)
+    charts = [example(f) for f in EXAMPLES if len(example(f).events) <= 6]
+    charts += [random_msc(rng, max_events=8) for _ in range(8)]
+    assert_warm_plans_agree(charts, builtin_formulas(), "native")
 
 
 def test_compiled_restores_shadowed_bindings():
@@ -775,18 +779,8 @@ def assert_warm_plans_agree(charts, formulas, closure_mode):
             assert mso._PLANS[(f, closure_mode)] is plan
 
 
-@pytest.mark.parametrize("closure_mode, max_events", [("native", 7), ("subset", 5)])
-def test_warm_plans_match_reference_on_builtins(no_plans, closure_mode, max_events):
-    formulas = [builtin(model, d) for model in MODELS for d in (False, True)]
-    formulas += [parse_formula(text) for text in README_FORMULAS]
-    formulas += [
-        builtin_bounded(model, k, universal)
-        for model in BOUNDED_MODELS
-        for k in (0, 1, 2)
-        for universal in (False, True)
-    ]
-    charts = interleaved_charts(63, 5, max_events)
-    assert_warm_plans_agree(charts, list(dict.fromkeys(formulas)), closure_mode)
+def test_warm_plans_match_reference_on_builtins_in_subset_mode(no_plans):
+    assert_warm_plans_agree(interleaved_charts(63, 5, 5), builtin_formulas(), "subset")
 
 
 @pytest.mark.parametrize("closure_mode", ["native", "subset"])
