@@ -736,18 +736,17 @@ BLOCKS = (
 
 
 def defined_formulas():
-    """Sentences over the relations of DEFINED: the relation itself, its
-    converse and its closure; those with the free variable `z` are
-    quantified over it, so one check materialises one relation per value."""
+    """Sentences over each relation of DEFINED: a pair not in its
+    converse, a cycle of its closure, and every event in some pair.
+    Those over the relation with the free variable `z` quantify `z`, so
+    one check materialises the relation once per value of `z`."""
     out = []
     for r in DEFINED.values():
         pair = _ex("a", _ex("b", AndF(RelF(r, "a", "b"), NotF(RelF(r, "b", "a")))))
         cycle = _ex("a", RelF(ClosureRel(r, False), "a", "a"))
         every = ForallF("a", False, _ex("b", OrF(RelF(r, "a", "b"), RelF(r, "b", "a"))))
         for f in (pair, cycle, every):
-            out.append(ForallF("z", False, f) if "z" in rel_free_vars(r) else f)
-            if "z" in rel_free_vars(r):
-                out.append(_ex("z", f))
+            out += [ForallF("z", False, f), _ex("z", f)] if "z" in rel_free_vars(r) else [f]
     return out
 
 
