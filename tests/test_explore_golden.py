@@ -3,13 +3,15 @@
 Each explore case runs :func:`msckit.cli.main` in-process with
 ``cfsm explore --max-events 5`` for one of the seven models on one
 system: the named systems of ``test_cfsm.py`` and two seeded protocol
-systems.  Its stdout and exit code are compared with
-``tests/data/explore_golden.json`` byte for byte.  For the queue-network
-models, whose charts take their event ids from the network execution
-that first reached them, so are the event ids of every emitted chart
-(process lines and matching), which the serialised text does not show.  The exec cases replay two traces with
-``exec --network`` on each of the four canonical networks, and classify
-them with plain ``exec``.
+systems.  Each synch case runs ``cfsm synch --max-events 5`` for one
+predicate and one model on the same systems, with ``--k 1`` where the
+predicate needs a bound.  Stdout and exit code are compared with
+``tests/data/explore_golden.json`` byte for byte, and so are the event
+ids (process lines and matching) of every emitted chart and of every
+counterexample, which the serialised text does not show: they come from
+the execution that first reached each isomorphism class.  The exec cases
+replay two traces with ``exec --network`` on each of the four canonical
+networks, and classify them with plain ``exec``.
 
 To re-record after an intended change of output, run from the
 repository root::
@@ -32,13 +34,16 @@ import tempfile
 import pytest
 from test_cfsm import BACKCHANNEL, OPEN_PEER, PING_PONG, protocol_text
 
-from msckit.cfsm import EXPLORE_MODELS, explore
+from msckit.cfsm import PREDICATES, bounded_synchronizability, explore
+from msckit.classify import MODELS
 from msckit.cli import main
 from msckit.io import parse_cfsm
 from msckit.network import KINDS
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "explore_golden.json"
 MAX_EVENTS = 5
+# the bound given to the predicates that need one
+SYNCH_K = {p: ["--k", "1"] for p in PREDICATES if p != "weakly-synchronous"}
 
 _rng = random.Random(2022)
 SYSTEMS = {
@@ -59,9 +64,13 @@ TRACES = {
 def _commands() -> dict[str, tuple[list[str], str]]:
     out = {}
     for name in SYSTEMS:
-        for model in EXPLORE_MODELS:
+        for model in MODELS:
             cmd = ["cfsm", "explore", "--max-events", str(MAX_EVENTS), "--model", model]
             out[" ".join(cmd + ["--system", name])] = (cmd + ["--system"], name)
+            for predicate in PREDICATES:
+                cmd = ["cfsm", "synch", "--max-events", str(MAX_EVENTS), "--model", model]
+                cmd += ["--predicate", predicate] + SYNCH_K.get(predicate, [])
+                out[" ".join(cmd + ["--system", name])] = (cmd + ["--system"], name)
     for name in TRACES:
         for cmd in [["exec"]] + [["exec", "--network", kind] for kind in KINDS]:
             out[" ".join(cmd + [name])] = (cmd, name)
@@ -71,16 +80,11 @@ def _commands() -> dict[str, tuple[list[str], str]]:
 CASES = _commands()
 
 
-def _event_ids(name: str, model: str) -> list[str]:
-    """Per emitted chart: its process lines and matching by event id."""
-    out = []
-    for msc in explore(parse_cfsm(SYSTEMS[name]), model, MAX_EVENTS):
-        lines = " ".join(
-            f"{p}:{','.join(map(str, msc.proc_order[p]))}" for p in msc.processes
-        )
-        matching = " ".join(f"{s}>{r}" for s, r in sorted(msc.matching.items()))
-        out.append(f"{lines} | {matching}")
-    return out
+def _event_ids(msc) -> str:
+    """The chart's process lines and matching by event id."""
+    lines = " ".join(f"{p}:{','.join(map(str, msc.proc_order[p]))}" for p in msc.processes)
+    matching = " ".join(f"{s}>{r}" for s, r in sorted(msc.matching.items()))
+    return f"{lines} | {matching}"
 
 
 def _run(case: str, workdir: pathlib.Path) -> dict:
@@ -91,9 +95,16 @@ def _run(case: str, workdir: pathlib.Path) -> dict:
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
         code = main(cmd + [str(path)])
     result = {"exit": code, "stdout": buf.getvalue()}
-    model = cmd[cmd.index("--model") + 1] if name in SYSTEMS else None
-    if model in KINDS:
-        result["event_ids"] = _event_ids(name, model)
+    if name in SYSTEMS:
+        sys_, model = parse_cfsm(SYSTEMS[name]), cmd[cmd.index("--model") + 1]
+        if cmd[1] == "explore":
+            result["event_ids"] = [_event_ids(m) for m in explore(sys_, model, MAX_EVENTS)]
+        else:
+            predicate = cmd[cmd.index("--predicate") + 1]
+            k = 1 if predicate in SYNCH_K else None
+            verdict = bounded_synchronizability(sys_, model, predicate, MAX_EVENTS, k)
+            if verdict.counterexample is not None:
+                result["event_ids"] = _event_ids(verdict.counterexample)
     return result
 
 
