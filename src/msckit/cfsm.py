@@ -10,21 +10,20 @@ behaviors of a system is prefix closed.
 
 `explore` enumerates, breadth-first by event count and deduplicated up
 to isomorphism, every MSC admitting a run that belongs to a
-communication model.  It takes one of two routes:
+communication model.  One search serves all seven models; the model
+only chooses how channels deliver:
 
-* for the queue-network models (p2p, mb, onen, nn) it steps the machines
-  against a configuration of the model's canonical network
-  (:mod:`msckit.network`), so every behavior it reaches is the chart of
-  a network execution and lies in the class by construction;
-* for asy, co and rsc it matches receives against any in-flight send
-  (bag semantics) and prunes partial behaviors that no extension can
-  bring back into the class.
+* p2p, mb, onen and nn step the model's canonical queue network
+  (:mod:`msckit.network`), so every behavior reached is the chart of a
+  network execution and lies in the class by construction;
+* asy, co and rsc keep the in-flight messages in a bag, from which a
+  receive may take any send with its channel and payload; co and rsc
+  prune partial behaviors that no extension can bring back into the
+  class.
 
-``explore(..., prune=False)`` is the unpruned bag route for every model,
-filtered by :func:`msckit.classify.membership`; tests compare both routes
-against it.  `bounded_synchronizability` searches the explored space for
-a violation of a boundedness or synchronizability predicate and reports
-an honest bound-relative verdict.
+`bounded_synchronizability` searches the explored space for a violation
+of a boundedness or synchronizability predicate and reports an honest
+bound-relative verdict.
 """
 
 from __future__ import annotations
@@ -35,10 +34,8 @@ from typing import Iterator, Mapping, NamedTuple
 
 from . import bounded as bounded_mod
 from . import network
-from .classify import find_crown, membership
+from .classify import MODELS, find_crown, membership
 from .core import Action, Msc, MscError, require_valid
-
-EXPLORE_MODELS = ("asy", "p2p", "co", "mb", "onen", "nn", "rsc")
 
 Transition = tuple[str, Action, str]
 
@@ -145,79 +142,47 @@ def _find_path(machine: Machine, word: list[Action]) -> list[Transition] | None:
 # -- exploration -----------------------------------------------------------------
 
 
-def explore(
-    sys: CfsmSystem, model: str = "asy", max_events: int = 6, prune: bool = True
-) -> Iterator[Msc]:
+def explore(sys: CfsmSystem, model: str = "asy", max_events: int = 6) -> Iterator[Msc]:
     """All behaviors of the system with at most `max_events` events that
     belong to the model class, breadth-first by event count, one MSC per
     isomorphism class, sorted by :meth:`Msc.canonical` within each level.
 
-    With `prune` (the default), p2p, mb, onen and nn behaviors are the
-    executions of the model's queue network: a receive consumes the head
-    of its queue, so each emitted chart's event ids follow the network
-    execution that first reached it and replay on that network.  asy, co
-    and rsc behaviors match receives against any in-flight send with the
-    right channel and payload (bag semantics), so non-FIFO matchings are
-    reached too, and partial behaviors that cannot re-enter the class
-    are pruned.  With ``prune=False`` every model takes the bag route
-    unpruned and keeps the members: the slow reference.
+    The search steps executions of the system against a channel
+    discipline, and each emitted chart's event ids follow the execution
+    that first reached it.  p2p, mb, onen and nn step the model's queue
+    network: a receive consumes the head of its queue, so each chart
+    replays on that network and lies in the class by construction.  asy,
+    co and rsc match a receive against any in-flight send with the right
+    channel and payload (a bag), so non-FIFO matchings are reached too;
+    co and rsc drop the executions that no extension can bring back into
+    the class, and the charts are filtered by
+    :func:`msckit.classify.membership` when emitted.
     """
-    if model not in EXPLORE_MODELS:
+    if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
-    if prune and model in network.KINDS:
-        yield from _explore_network(sys, model, max_events)
-    else:
-        yield from _explore_bag(sys, model, max_events, prune)
-
-
-class _Execution(NamedTuple):
-    """A network execution of the system, event ids in execution order.
-    `words` and `placed` give its chart in (process index, line index)
-    coordinates, which do not depend on the event ids."""
-
-    states: tuple[str, ...]  # machine state per process, in system order
-    actions: tuple[Action, ...]  # label of event i
-    coords: tuple[tuple[int, int], ...]  # coordinates of event i
-    config: network.NetworkConfig  # every entry tagged with its send's coordinates
-    words: tuple[tuple[str, ...], ...]  # label text along each process line
-    placed: frozenset  # the matching as (send, receive) coordinate pairs
-
-    def to_msc(self, processes: tuple[str, ...]) -> Msc:
-        lines: list[list[int]] = [[] for _ in processes]
-        for e, (pi, _) in enumerate(self.coords):
-            lines[pi].append(e)
-        ids = {c: e for e, c in enumerate(self.coords)}
-        matching = sorted(((ids[s], ids[r]) for s, r in self.placed), key=lambda m: m[1])
-        return Msc(
-            processes, dict(enumerate(self.actions)), dict(zip(processes, lines)), dict(matching)
-        )
-
-
-def _explore_network(sys: CfsmSystem, model: str, max_events: int) -> Iterator[Msc]:
-    """Breadth-first search over (machine states, chart, queue contents).
-
-    Every send enters its queue tagged with its (process index, line
-    index) coordinate, so a receive reads the coordinate of the send it
-    consumes off the queue head, and the queue contents are already in
-    coordinates.  Executions are merged when their keys agree: machine
-    states, the label words of the process lines, the matching as
-    coordinate pairs and the queue contents.  Equal keys mean isomorphic
-    charts with the same futures.  Each level's charts are sorted by
-    their canonical form, read off the words and the matching, so only
-    emitted charts are built.
-    """
     processes = sys.processes
     if not processes:  # no machine, no step: only the empty chart
         yield Msc(processes, {}, {}, {})
         return
-    # peers without a machine still get queues: their messages stay in flight
-    actions = [t[1] for m in sys.machines.values() for t in m.transitions]
-    net = network.network_for(model, network.full_process_set(actions, processes))
-    # per process and state: (action, target, label text, queue slot) per transition
+    net = None
+    config: object = ()  # the bag: sorted (send coordinates, message) entries
+    if model in network.KINDS:
+        # peers without a machine still get queues: their messages stay in flight
+        labels = [t[1] for m in sys.machines.values() for t in m.transitions]
+        net = network.network_for(model, network.full_process_set(labels, processes))
+        config = network.NetworkConfig.initial(net)
+    # per process and state: (action, target, label text, is send, where)
+    # per transition, where is its queue slot, or in a bag its message
     moves = [
         {
             state: [
-                (a, dst, str(a), net.slot_of(a.sender, a.receiver))
+                (
+                    a,
+                    dst,
+                    str(a),
+                    a.is_send,
+                    (a.channel, a.payload) if net is None else net.slot_of(a.sender, a.receiver),
+                )
                 for _, a, dst in sys.machines[p].steps_from(state)
             ]
             for state in sys.machines[p].states
@@ -225,6 +190,7 @@ def _explore_network(sys: CfsmSystem, model: str, max_events: int) -> Iterator[M
         for p in processes
     ]
     by_name = sorted(range(len(processes)), key=processes.__getitem__)
+    prune = model in ("co", "rsc")
 
     def canonical(chart) -> tuple:
         """:meth:`Msc.canonical` of the chart: its nonempty lines by
@@ -240,7 +206,7 @@ def _explore_network(sys: CfsmSystem, model: str, max_events: int) -> Iterator[M
         tuple(sys.machines[p].initial for p in processes),
         (),
         (),
-        network.NetworkConfig.initial(net),
+        config,
         tuple(() for _ in processes),
         frozenset(),
     )
@@ -250,112 +216,83 @@ def _explore_network(sys: CfsmSystem, model: str, max_events: int) -> Iterator[M
         for ex in level:
             charts.setdefault((ex.words, ex.placed), ex)
         for chart in sorted(charts, key=canonical):
-            yield charts[chart].to_msc(processes)
+            ex = charts[chart]
+            msc = ex.to_msc(processes) if ex.msc is None else ex.msc
+            if net is not None or membership(msc, model)[0]:
+                yield msc
         if depth == max_events:
             return
-        nxt: dict = {}
+        nxt: dict = {}  # key -> execution, or None once pruned
         for ex in level:
-            states, words = ex.states, ex.words
+            states, words, config = ex.states, ex.words, ex.config
             for pi, state in enumerate(states):
                 coord = (pi, len(words[pi]))
-                for action, dst, label, slot in moves[pi][state]:
-                    config = network.step(net, ex.config, action, origin=coord)
-                    if config is None:
-                        continue
-                    placed = ex.placed
-                    if not action.is_send:
-                        placed = placed | {(ex.config.slots[slot][0][3], coord)}
-                    key = (
-                        states[:pi] + (dst,) + states[pi + 1 :],
-                        words[:pi] + (words[pi] + (label,),) + words[pi + 1 :],
-                        placed,
-                        config.slots,
-                    )
-                    if key not in nxt:
-                        nxt[key] = _Execution(
-                            key[0],
-                            ex.actions + (action,),
-                            ex.coords + (coord,),
-                            config,
-                            key[1],
+                for action, dst, label, is_send, where in moves[pi][state]:
+                    # (configuration after the step, coordinates of the
+                    # send a receive consumes) per way to take the step
+                    if net is not None:
+                        after = network.step(net, config, action, origin=coord)
+                        if after is None:
+                            continue
+                        ways = ((after, None if is_send else config.slots[where][0][3]),)
+                    elif is_send:
+                        ways = ((tuple(sorted(config + ((coord, where),))), None),)
+                    else:
+                        ways = [
+                            (config[:i] + config[i + 1 :], c)
+                            for i, (c, m) in enumerate(config)
+                            if m == where
+                        ]
+                    for after, source in ways:
+                        placed = ex.placed if source is None else ex.placed | {(source, coord)}
+                        key = (
+                            states[:pi] + (dst,) + states[pi + 1 :],
+                            words[:pi] + (words[pi] + (label,),) + words[pi + 1 :],
                             placed,
+                            after,
                         )
-        level = list(nxt.values())
+                        if key in nxt:
+                            continue
+                        actions, coords = ex.actions + (action,), ex.coords + (coord,)
+                        succ = _Execution(key[0], actions, coords, after, key[1], placed)
+                        if prune:
+                            succ = succ._replace(msc=succ.to_msc(processes))
+                            if _prunable(succ.msc, model):
+                                succ = None
+                        nxt[key] = succ
+        level = [ex for ex in nxt.values() if ex is not None]
         if not level:
             return
 
 
-@dataclass(frozen=True)
-class _Partial:
+class _Execution(NamedTuple):
+    """An execution of the system, event ids in execution order.  `words`
+    and `placed` give its chart in (process index, line index)
+    coordinates, which do not depend on the event ids."""
+
     states: tuple[str, ...]  # machine state per process, in system order
-    lines: tuple[tuple[int, ...], ...]  # event ids per process
-    labels: tuple[Action, ...]  # label of event i
-    matching: tuple[tuple[int, int], ...]
+    actions: tuple[Action, ...]  # label of event i
+    coords: tuple[tuple[int, int], ...]  # coordinates of event i
+    # the queue network configuration or the bag, every entry tagged with
+    # its send's coordinates
+    config: object
+    words: tuple[tuple[str, ...], ...]  # label text along each process line
+    placed: frozenset  # the matching as (send, receive) coordinate pairs
+    msc: Msc | None = None  # the chart, once built
 
     def to_msc(self, processes: tuple[str, ...]) -> Msc:
-        lines = dict(zip(processes, self.lines))
-        return Msc(processes, dict(enumerate(self.labels)), lines, dict(self.matching))
-
-
-def _explore_bag(
-    sys: CfsmSystem, model: str, max_events: int, prune: bool
-) -> Iterator[Msc]:
-    processes = sys.processes
-    initial = _Partial(
-        tuple(sys.machines[p].initial for p in processes), tuple(() for _ in processes), (), ()
-    )
-    initial_msc = initial.to_msc(processes)
-    seen_mscs: set = set()
-    # one representative per (machine states, MSC isomorphism class)
-    level = {(initial.states, initial_msc.canonical()): (initial, initial_msc)}
-    for _ in range(max_events + 1):
-        emit = []
-        for (_, canon), (_, msc) in level.items():
-            if canon not in seen_mscs:
-                seen_mscs.add(canon)
-                if membership(msc, model)[0]:
-                    emit.append((canon, msc))
-        for _, msc in sorted(emit, key=lambda pair: pair[0]):
-            yield msc
-        nxt: dict = {}
-        for partial, _ in level.values():
-            if len(partial.labels) >= max_events:
-                continue
-            for succ in _successors(sys, processes, partial):
-                msc = succ.to_msc(processes)
-                key = (succ.states, msc.canonical())
-                if key in nxt or (prune and _prunable(msc, model)):
-                    continue
-                nxt[key] = (succ, msc)
-        level = nxt
-        if not level:
-            return
-
-
-def _successors(
-    sys: CfsmSystem, processes: tuple[str, ...], partial: _Partial
-) -> Iterator[_Partial]:
-    # in-flight sends: emitted, not yet matched
-    matched = {s for s, _ in partial.matching}
-    pending = [i for i, a in enumerate(partial.labels) if a.is_send and i not in matched]
-    nid = len(partial.labels)
-    for pi, p in enumerate(processes):
-        for _, action, dst in sys.machines[p].steps_from(partial.states[pi]):
-            states = partial.states[:pi] + (dst,) + partial.states[pi + 1 :]
-            lines = partial.lines[:pi] + (partial.lines[pi] + (nid,),) + partial.lines[pi + 1 :]
-            labels = partial.labels + (action,)
-            if action.is_send:
-                yield _Partial(states, lines, labels, partial.matching)
-                continue
-            for s in pending:
-                sa = partial.labels[s]
-                if sa.channel == action.channel and sa.payload == action.payload:
-                    yield _Partial(states, lines, labels, partial.matching + ((s, nid),))
+        lines: list[list[int]] = [[] for _ in processes]
+        for e, (pi, _) in enumerate(self.coords):
+            lines[pi].append(e)
+        ids = {c: e for e, c in enumerate(self.coords)}
+        # the matching in receive order
+        matching = {s: r for r, s in sorted((ids[r], ids[s]) for s, r in self.placed)}
+        return Msc(processes, dict(enumerate(self.actions)), dict(zip(processes, lines)), matching)
 
 
 def _prunable(msc: Msc, model: str) -> bool:
     """True when no extension of this partial behavior can lie in the
-    model class (bag route; asy needs no pruning).
+    model class (co and rsc; asy needs no pruning).
 
     The partial MSC is a happens-before prefix of all its extensions.
     co is prefix closed, so a partial outside it dooms every extension;

@@ -317,12 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="cfsm_cmd", required=True)
     pe = csub.add_parser("explore", parents=[shared], help="enumerate behaviors")
     pe.add_argument("--system", required=True)
-    pe.add_argument("--model", default="asy", choices=cfsm_mod.EXPLORE_MODELS)
+    pe.add_argument("--model", default="asy", choices=MODELS)
     pe.add_argument("--max-events", type=non_negative_int, default=6)
     pe.set_defaults(func=cmd_cfsm)
     ps = csub.add_parser("synch", parents=[shared], help="bounded synchronizability search")
     ps.add_argument("--system", required=True)
-    ps.add_argument("--model", default="asy", choices=cfsm_mod.EXPLORE_MODELS)
+    ps.add_argument("--model", default="asy", choices=MODELS)
     ps.add_argument("--predicate", required=True, choices=cfsm_mod.PREDICATES)
     ps.add_argument("--k", type=non_negative_int, default=None)
     ps.add_argument("--max-events", type=non_negative_int, default=6)

@@ -1,4 +1,6 @@
 import random
+from dataclasses import dataclass
+from typing import Iterator
 
 import pytest
 
@@ -10,11 +12,9 @@ from msckit.cfsm import (
     explore,
     find_run,
 )
-from msckit.classify import classify, membership
-from msckit.core import EMPTY_MSC, Msc, MscError, send
+from msckit.classify import MODELS, classify, membership
+from msckit.core import EMPTY_MSC, Action, Msc, MscError, send
 from msckit.io import parse_cfsm
-
-MODELS = ("asy", "p2p", "co", "mb", "onen", "nn", "rsc")
 
 PING_PONG = """
 machine p: state l0 init; trans l0 -> l1 on ! q ping; trans l1 -> l0 on ? q pong
@@ -66,6 +66,81 @@ def differential_systems() -> list[CfsmSystem]:
     rng = random.Random(2022)
     named = [parse_cfsm(t) for t in (PING_PONG, BACKCHANNEL, OPEN_PEER)]
     return named + [protocol_system(rng) for _ in range(20)]
+
+
+# -- reference exploration ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Partial:
+    states: tuple[str, ...]  # machine state per process, in system order
+    lines: tuple[tuple[int, ...], ...]  # event ids per process
+    labels: tuple[Action, ...]  # label of event i
+    matching: tuple[tuple[int, int], ...]
+
+    def to_msc(self, processes: tuple[str, ...]) -> Msc:
+        lines = dict(zip(processes, self.lines))
+        return Msc(processes, dict(enumerate(self.labels)), lines, dict(self.matching))
+
+
+def reference_explore(sys: CfsmSystem, model: str, max_events: int) -> Iterator[Msc]:
+    """The unpruned bag search: every receive may take any in-flight send
+    with its channel and payload, partial behaviors are merged by machine
+    states and :meth:`Msc.canonical`, and each level's classes are
+    filtered by membership and emitted sorted by canonical form."""
+    processes = sys.processes
+    initial = _Partial(
+        tuple(sys.machines[p].initial for p in processes), tuple(() for _ in processes), (), ()
+    )
+    initial_msc = initial.to_msc(processes)
+    seen_mscs: set = set()
+    # one representative per (machine states, MSC isomorphism class)
+    level = {(initial.states, initial_msc.canonical()): (initial, initial_msc)}
+    for _ in range(max_events + 1):
+        emit = []
+        for (_, canon), (_, msc) in level.items():
+            if canon not in seen_mscs:
+                seen_mscs.add(canon)
+                if membership(msc, model)[0]:
+                    emit.append((canon, msc))
+        for _, msc in sorted(emit, key=lambda pair: pair[0]):
+            yield msc
+        nxt: dict = {}
+        for partial, _ in level.values():
+            if len(partial.labels) >= max_events:
+                continue
+            for succ in _successors(sys, processes, partial):
+                msc = succ.to_msc(processes)
+                key = (succ.states, msc.canonical())
+                if key not in nxt:
+                    nxt[key] = (succ, msc)
+        level = nxt
+        if not level:
+            return
+
+
+def _successors(
+    sys: CfsmSystem, processes: tuple[str, ...], partial: _Partial
+) -> Iterator[_Partial]:
+    # in-flight sends: emitted, not yet matched
+    matched = {s for s, _ in partial.matching}
+    pending = [i for i, a in enumerate(partial.labels) if a.is_send and i not in matched]
+    nid = len(partial.labels)
+    for pi, p in enumerate(processes):
+        for _, action, dst in sys.machines[p].steps_from(partial.states[pi]):
+            states = partial.states[:pi] + (dst,) + partial.states[pi + 1 :]
+            lines = partial.lines[:pi] + (partial.lines[pi] + (nid,),) + partial.lines[pi + 1 :]
+            labels = partial.labels + (action,)
+            if action.is_send:
+                yield _Partial(states, lines, labels, partial.matching)
+                continue
+            for s in pending:
+                sa = partial.labels[s]
+                if sa.channel == action.channel and sa.payload == action.payload:
+                    yield _Partial(states, lines, labels, partial.matching + ((s, nid),))
+
+
+# -- tests ---------------------------------------------------------------------------
 
 
 def test_equal_systems_hash_equal():
@@ -156,16 +231,16 @@ def test_explore_no_transitions():
 
 @pytest.mark.parametrize("model", MODELS)
 def test_explore_no_machines(model):
-    # the network routes have no process to build a network on
-    for prune in (True, False):
-        got = list(explore(CfsmSystem({}), model, 4, prune))
+    # the queue networks have no process to be built on
+    for search in (explore, reference_explore):
+        got = list(search(CfsmSystem({}), model, 4))
         assert [(m.processes, m.events) for m in got] == [((), ())]
 
 
 @pytest.mark.parametrize("model", MODELS)
 def test_explore_horizon_zero(model):
-    for prune in (True, False):
-        assert [m.events for m in explore(parse_cfsm(PING_PONG), model, 0, prune)] == [()]
+    for search in (explore, reference_explore):
+        assert [m.events for m in search(parse_cfsm(PING_PONG), model, 0)] == [()]
 
 
 def test_explore_single_send():
@@ -214,29 +289,13 @@ def test_ping_pong_rsc_alternating():
     assert got == want
 
 
-def test_pruning_soundness():
-    for text, model in (
-        (PING_PONG, "nn"),
-        (BACKCHANNEL, "p2p"),
-        (BACKCHANNEL, "co"),
-        (BACKCHANNEL, "onen"),
-        (BACKCHANNEL, "nn"),
-        (BACKCHANNEL, "mb"),
-        (BACKCHANNEL, "rsc"),
-    ):
-        sys_ = parse_cfsm(text)
-        pruned = {m.canonical() for m in explore(sys_, model, 5)}
-        full = {m.canonical() for m in explore(sys_, model, 5, prune=False)}
-        assert pruned == full
-
-
-@pytest.mark.parametrize("model", network.KINDS)
-def test_network_route_matches_reference(model):
-    # the network route against the unpruned bag route filtered by
-    # membership: same canonical forms in the same order
+@pytest.mark.parametrize("model", MODELS)
+def test_explore_matches_reference(model):
+    # against the unpruned bag search filtered by membership: the same
+    # canonical forms in the same order
     for sys_ in differential_systems():
         fast = [m.canonical() for m in explore(sys_, model, 5)]
-        slow = [m.canonical() for m in explore(sys_, model, 5, prune=False)]
+        slow = [m.canonical() for m in reference_explore(sys_, model, 5)]
         assert fast == slow
 
 
