@@ -106,11 +106,11 @@ def _window(msc: Msc, k: int, model: str) -> RelationGraph:
 
 
 @relations.per_chart
-def _window_cycle(msc: Msc, k: int, model: str) -> list[int] | None:
+def _window_cycle(msc: Msc, k: int, model: str) -> tuple[int, ...] | None:
     """A minimal cycle of the scheduling relation joined with the k-window
     constraints, or None.  The two are joined once per chart, k and model,
     and the existential and universal checks share the search."""
-    return relations.is_acyclic(relations.scheduling(msc, model) | _window(msc, k, model))[1]
+    return (relations.scheduling(msc, model) | _window(msc, k, model)).order[1]
 
 
 def exists_k_bounded(msc: Msc, k: int, model: str = "asy") -> bool:
@@ -255,7 +255,7 @@ def decompose_exchanges(
         for v in vs:
             if comp_of[u] != comp_of[v]:
                 dag[comps[comp_of[u]][0]].append(comps[comp_of[v]][0])
-    topo = [lead[u] for u in graph.topo_order(dag)]
+    topo = [lead[u] for u in graph.order(dag)[0]]
 
     factors: list[list[int]] = []
     group: list[int] = []

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
-from . import graph, relations
+from . import relations
 from .core import (
     Linearization,
     Msc,
@@ -118,14 +118,11 @@ class ClassReport:
 def format_linearization(msc: Msc, lin: Linearization | Sequence[int]) -> str:
     """Render an event order with `!name`/`?name` tokens, the same ones
     the text format uses."""
-    from .io import message_names
+    from .io import event_tokens
 
     order = lin.order if isinstance(lin, Linearization) else tuple(lin)
-    names = message_names(msc)
-    rnames = {msc.matching[s]: n for s, n in names.items() if s in msc.matching}
-    return " ".join(
-        ("!" + names[e]) if msc.labels[e].is_send else ("?" + rnames[e]) for e in order
-    )
+    tokens = event_tokens(msc)
+    return " ".join(tokens[e] for e in order)
 
 
 # -- universal-clause models -----------------------------------------------
@@ -164,7 +161,7 @@ def is_co(msc: Msc) -> tuple[bool, tuple[int, int] | None]:
 
 
 def find_crown(msc: Msc) -> Crown | None:
-    cycle = graph.find_cycle(relations.crown_digraph(msc).adjacency())
+    cycle = relations.crown_digraph(msc).order[1]
     if cycle is None:
         return None
     sends = cycle[:-1]
@@ -254,7 +251,7 @@ def rsc_linearize(msc: Msc) -> Linearization:
     the crown digraph's topological order, least send first.  Exists
     exactly when the MSC has no unmatched send and no crown."""
     require_valid(msc)
-    sends = graph.topo_order(relations.crown_digraph(msc).adjacency())
+    sends = relations.crown_digraph(msc).order[0]
     if sends is None or msc.unmatched_sends:
         raise NotInModelError("no synchronous schedule (crown or unmatched send present)")
     return Linearization(tuple(e for s in sends for e in (s, msc.matching[s])), ("rsc",))
@@ -279,8 +276,7 @@ def linearize(msc: Msc, model: str) -> Linearization:
         lin = rsc_linearize(msc)
     else:
         # acyclic: hb is a partial order, and membership tested the others
-        order = graph.topo_order(relations.scheduling(msc, model).adjacency())
-        lin = Linearization(tuple(order))
+        lin = Linearization(relations.scheduling(msc, model).order[0])
     if not check_linearization(msc, lin, model):
         raise MscError(f"internal error: produced order fails the {model} clause")
     return Linearization(lin.order, (model,))
@@ -359,8 +355,8 @@ def membership(msc: Msc, model: str) -> tuple[bool, tuple[int, ...] | None]:
         raise ValueError(f"unknown model {model!r}")
     if model in _CLAUSE_DECIDERS:
         return _CLAUSE_DECIDERS[model](msc)
-    ok, cycle = relations.is_acyclic(relations.scheduling(msc, model))
-    return (ok, tuple(cycle) if cycle else None)
+    cycle = relations.scheduling(msc, model).order[1]
+    return (cycle is None, cycle)
 
 
 def oracle_membership(msc: Msc, model: str, limit: int | None = None) -> bool:

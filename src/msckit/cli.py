@@ -25,7 +25,7 @@ from .classify import (
     linearize,
 )
 from .core import MscError, validate, to_dot
-from .io import ParseError, load_cfsm, load_msc, message_names, parse_trace, serialize_msc
+from .io import ParseError, event_tokens, load_cfsm, load_msc, parse_trace, serialize_msc
 
 
 def _out(args, payload: dict, text: str) -> None:
@@ -80,13 +80,9 @@ def cmd_linearize(args) -> int:
 
 def cmd_check_lin(args) -> int:
     msc = load_msc(args.file)
-    names = {}
-    for s, name in message_names(msc).items():
-        names["!" + name] = s
-        if s in msc.matching:
-            names["?" + name] = msc.matching[s]
+    events = {tok: e for e, tok in event_tokens(msc).items()}
     try:
-        order = tuple(names[tok] for tok in args.lin.split())
+        order = tuple(events[tok] for tok in args.lin.split())
     except KeyError as exc:
         print(f"unknown event token {exc}", file=sys.stderr)
         return 2

@@ -144,6 +144,12 @@ class RelationGraph:
                 pred[b].append(a)
         return MappingProxyType(pred)
 
+    @_view
+    def order(self) -> tuple[tuple[int, ...], None] | tuple[None, tuple[int, ...]]:
+        """The ascending-id topological order and None when the relation
+        is acyclic, else None and a minimal cycle (:func:`graph.order`)."""
+        return graph.order(self._succ)
+
     def has(self, a: int, b: int) -> bool:
         return (a, b) in self.edges
 
@@ -270,11 +276,20 @@ class Msc:
     # -- happens-before ------------------------------------------------
 
     @_view
+    def hb_generators(self) -> RelationGraph:
+        """Process succession and matching, unclosed.  Edges with an
+        unlabelled end are left out, for :func:`validate` to report."""
+        labels = self.labels
+        return RelationGraph.of(
+            self.events,
+            ((a, b) for a, b in self.succ_edges | self.msg_edges if a in labels and b in labels),
+        )
+
+    @_view
     def hb_reach(self) -> dict[int, frozenset[int]]:
         """For each event, the set of events reachable through -> and <|
         (reflexive)."""
-        generators = RelationGraph.of(self.events, self.succ_edges | self.msg_edges)
-        return graph.reach(generators.adjacency(), reflexive=True)
+        return graph.reach(self.hb_generators.adjacency(), reflexive=True)
 
     def hb(self, a: int, b: int) -> bool:
         """a <= b in the happens-before partial order (reflexive)."""
@@ -381,11 +396,9 @@ def validate(msc: Msc) -> ValidationReport:
     # matching is a dict, so a send cannot be matched twice; flag receives
     # hit twice (an injectivity failure) under 2b above.
 
-    edges = msc.succ_edges | msc.msg_edges
-    known = [(a, b) for a, b in edges if a in msc.labels and b in msc.labels]
-    cycle = graph.find_cycle(RelationGraph.of(msc.events, known).adjacency())
+    cycle = msc.hb_generators.order[1]
     if cycle is not None:
-        out.append(Violation("3", tuple(cycle), "happens-before is not a partial order"))
+        out.append(Violation("3", cycle, "happens-before is not a partial order"))
 
     return ValidationReport(not out, tuple(out))
 
@@ -422,7 +435,7 @@ def enumerate_linearizations(
     """
     require_valid(msc)
     events = list(msc.events)
-    adj = RelationGraph.of(events, msc.succ_edges | msc.msg_edges).adjacency()
+    adj = msc.hb_generators.adjacency()
     indeg = {e: 0 for e in events}
     for succs in adj.values():
         for f in succs:
@@ -463,7 +476,7 @@ def extends_hb(msc: Msc, order: Sequence[int]) -> bool:
     if sorted(order) != list(msc.events):
         return False
     pos = {e: i for i, e in enumerate(order)}
-    return all(pos[a] < pos[b] for a, b in msc.succ_edges | msc.msg_edges)
+    return all(pos[a] < pos[b] for a, b in msc.hb_generators.edges)
 
 
 def concatenate(m1: Msc, m2: Msc) -> Msc:

@@ -15,32 +15,6 @@ from typing import Collection, Mapping
 Adjacency = Mapping[int, Collection[int]]
 
 
-def _kahn(adj: Adjacency) -> list[int]:
-    """Kahn's algorithm, smallest ready id first; the nodes it orders
-    (all of them iff the digraph is acyclic)."""
-    indeg = dict.fromkeys(adj, 0)
-    for succs in adj.values():
-        for m in succs:
-            indeg[m] += 1
-    ready = [n for n, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        n = heapq.heappop(ready)
-        order.append(n)
-        for m in adj[n]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                heapq.heappush(ready, m)
-    return order
-
-
-def topo_order(adj: Adjacency) -> list[int] | None:
-    """Topological order with the ascending-id tie-break, None if cyclic."""
-    order = _kahn(adj)
-    return order if len(order) == len(adj) else None
-
-
 def sccs(adj: Adjacency) -> list[list[int]]:
     """Strongly connected components by iterative Tarjan, roots and
     successors visited in ascending order.  Each component is sorted, and
@@ -134,20 +108,33 @@ def bits_of(row: int) -> list[int]:
     return [i for i, c in enumerate(reversed(bin(row))) if c == "1"]
 
 
-def find_cycle(adj: Adjacency) -> list[int] | None:
-    """A minimal-length cycle as a node list with first == last, or None
-    if acyclic.
+def order(adj: Adjacency) -> tuple[tuple[int, ...], None] | tuple[None, tuple[int, ...]]:
+    """The topological order and None when the digraph is acyclic, else
+    None and a minimal-length cycle as a node tuple with first == last.
 
-    Kahn's algorithm decides acyclicity.  Only when it leaves nodes
-    unordered (every cycle lies among them, and so does everything they
-    reach) does a breadth-first search run from each of them in
+    Kahn's algorithm, smallest ready id first, gives the order.  The
+    nodes it leaves unordered hold every cycle and everything the
+    cycles reach; a breadth-first search runs from each of them in
     ascending order, successors in ascending order, keeping the first
     shortest cycle found."""
-    left = set(adj).difference(_kahn(adj))
-    if not left:
-        return None
+    indeg = dict.fromkeys(adj, 0)
+    for succs in adj.values():
+        for m in succs:
+            indeg[m] += 1
+    ready = [n for n, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    done = []
+    while ready:
+        n = heapq.heappop(ready)
+        done.append(n)
+        for m in adj[n]:
+            indeg[m] -= 1
+            if indeg[m] == 0:
+                heapq.heappush(ready, m)
+    if len(done) == len(adj):
+        return tuple(done), None
     best: list[int] | None = None
-    for start in sorted(left):
+    for start in sorted(set(adj).difference(done)):
         parent: dict[int, int] = {}
         frontier = [start]
         depth = 0
@@ -176,4 +163,4 @@ def find_cycle(adj: Adjacency) -> list[int] | None:
             cycle = path + [start]
             if best is None or len(cycle) < len(best):
                 best = cycle
-    return best
+    return None, tuple(best)

@@ -160,32 +160,25 @@ def serialize_msc(msc: Msc) -> str:
     """Inverse of :func:`parse_msc`, re-deriving message names from send
     event order.  Payloads are preserved through `payload` flags when
     they cannot double as unique names."""
-    names = message_names(msc)
+    tokens = event_tokens(msc)
     lines = ["processes " + " ".join(msc.processes)] if msc.processes else []
-    for s, name in names.items():
+    for s in msc.send_events:
         a = msc.labels[s]
+        name = tokens[s][1:]
         flags = ""
         if s not in msc.matching:
             flags += " lost"
         if a.payload != name:
             flags += f" payload {a.payload}"
         lines.append(f"message {name} {a.sender} {a.receiver}{flags}")
-    rnames = {msc.matching[s]: n for s, n in names.items() if s in msc.matching}
     for p in msc.processes:
-        toks = []
-        for e in msc.proc_order[p]:
-            if msc.labels[e].is_send:
-                toks.append("!" + names[e])
-            else:
-                toks.append("?" + rnames[e])
-        lines.append(("order " + p + " " + " ".join(toks)).rstrip())
+        lines.append(("order " + p + " " + " ".join(tokens[e] for e in msc.proc_order[p])).rstrip())
     return "\n".join(lines) + "\n"
 
 
 def message_names(msc: Msc) -> dict[int, str]:
-    payload_counts: dict[str, int] = {}
-    for s in msc.send_events:
-        payload_counts[msc.labels[s].payload] = payload_counts.get(msc.labels[s].payload, 0) + 1
+    """A unique name per send, in ascending id: its payload, suffixed
+    `_2`, `_3`, ... when an earlier send took that name."""
     names = {}
     used: set[str] = set()
     for s in sorted(msc.send_events):
@@ -200,28 +193,32 @@ def message_names(msc: Msc) -> dict[int, str]:
     return names
 
 
+def event_tokens(msc: Msc) -> dict[int, str]:
+    """The `!name` token of every send and the `?name` token of every
+    matched receive, as the text format writes them."""
+    tokens = {}
+    for s, name in message_names(msc).items():
+        tokens[s] = "!" + name
+        if s in msc.matching:
+            tokens[msc.matching[s]] = "?" + name
+    return tokens
+
+
 def msc_to_json(msc: Msc) -> dict:
-    names = message_names(msc)
-    rnames = {msc.matching[s]: n for s, n in names.items() if s in msc.matching}
+    tokens = event_tokens(msc)
     return {
         "processes": list(msc.processes),
         "messages": [
             {
-                "name": names[s],
+                "name": tokens[s][1:],
                 "from": msc.labels[s].sender,
                 "to": msc.labels[s].receiver,
                 "lost": s not in msc.matching,
                 "payload": msc.labels[s].payload,
             }
-            for s in sorted(msc.send_events)
+            for s in msc.send_events
         ],
-        "orders": {
-            p: [
-                ("!" + names[e]) if msc.labels[e].is_send else ("?" + rnames[e])
-                for e in msc.proc_order[p]
-            ]
-            for p in msc.processes
-        },
+        "orders": {p: [tokens[e] for e in msc.proc_order[p]] for p in msc.processes},
     }
 
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from . import graph, relations
 from .core import Action, Msc, MscError, RelationGraph, recv, require_valid, send
@@ -229,48 +230,35 @@ def _free(node: Formula | RelExpr, memo: dict) -> frozenset[str]:
     return out
 
 
+def _nodes(root: Formula | RelExpr) -> Iterator[Formula | RelExpr]:
+    """Every formula and relation node under `root`, itself included,
+    each shared node once."""
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield node
+        if isinstance(node, (NotF, ExistsF, ForallF, DefRel)):
+            stack.append(node.body)
+        elif isinstance(node, (OrF, AndF, ImpliesF, IffF)):
+            stack += (node.left, node.right)
+        elif isinstance(node, RelF):
+            stack.append(node.rel)
+        elif isinstance(node, UnionRel):
+            stack += node.parts
+        elif isinstance(node, ClosureRel):
+            stack.append(node.inner)
+
+
 def _has_so(f: Formula) -> bool:
-    if isinstance(f, (ExistsF, ForallF)):
-        return f.second_order or _has_so(f.body)
-    if isinstance(f, NotF):
-        return _has_so(f.body)
-    if isinstance(f, (OrF, AndF, ImpliesF, IffF)):
-        return _has_so(f.left) or _has_so(f.right)
-    if isinstance(f, RelF):
-        return _rel_has_so(f.rel)
-    return False
-
-
-def _rel_has_so(r: RelExpr) -> bool:
-    if isinstance(r, DefRel):
-        return _has_so(r.body)
-    if isinstance(r, UnionRel):
-        return any(_rel_has_so(p) for p in r.parts)
-    if isinstance(r, ClosureRel):
-        return _rel_has_so(r.inner)
-    return False
+    return any(isinstance(n, (ExistsF, ForallF)) and n.second_order for n in _nodes(f))
 
 
 def _has_closure(f: Formula) -> bool:
-    if isinstance(f, NotF):
-        return _has_closure(f.body)
-    if isinstance(f, (OrF, AndF, ImpliesF, IffF)):
-        return _has_closure(f.left) or _has_closure(f.right)
-    if isinstance(f, (ExistsF, ForallF)):
-        return _has_closure(f.body)
-    if isinstance(f, RelF):
-        return _rel_closed(f.rel)
-    return False
-
-
-def _rel_closed(r: RelExpr) -> bool:
-    if isinstance(r, ClosureRel):
-        return True
-    if isinstance(r, UnionRel):
-        return any(_rel_closed(p) for p in r.parts)
-    if isinstance(r, DefRel):
-        return _has_closure(r.body)
-    return False
+    return any(isinstance(n, ClosureRel) for n in _nodes(f))
 
 
 # -- evaluation ----------------------------------------------------------------

@@ -29,11 +29,14 @@ Relations are successor maps (:class:`RelationGraph`), searched by
 rows they compute, with no edge set in between.  The send-pair
 relations read one grouping of the sends (:func:`send_groups`, by
 receiver or sender) and sort each group once by rank.  Every producer
-is memoised on the MSC by :func:`per_chart`, so a chart builds each
-relation once.  :data:`SCHEDULING` names the relation whose
-linearizations are exactly a model's candidate schedules,
-:func:`scheduling_closure` its closure, and :data:`NAMED` the
-relations MSO formulas can use as atoms.
+is memoised on the MSC by :func:`per_chart` (happens-before's
+generators by :attr:`Msc.hb_generators`), so a chart builds each
+relation once.  Acyclicity is a view on the relation itself
+(:attr:`RelationGraph.order`): one pass gives the minimal cycle that
+refutes a model or the topological order that witnesses it.
+:data:`SCHEDULING` names the relation whose linearizations are exactly
+a model's candidate schedules, :func:`scheduling_closure` its closure,
+and :data:`NAMED` the relations MSO formulas can use as atoms.
 """
 
 from __future__ import annotations
@@ -68,16 +71,9 @@ def transitive_closure(r: RelationGraph, reflexive: bool = False) -> RelationGra
     return RelationGraph(graph.reach(r.adjacency(), reflexive=reflexive))
 
 
-def is_acyclic(r: RelationGraph) -> tuple[bool, list[int] | None]:
-    """True plus None, or False plus a minimal cycle (first == last)."""
-    cycle = graph.find_cycle(r.adjacency())
-    return (cycle is None, cycle)
-
-
-@per_chart
 def hb_generators(msc: Msc) -> RelationGraph:
-    """Process succession and matching, unclosed."""
-    return RelationGraph.of(msc.events, msc.succ_edges | msc.msg_edges)
+    """Process succession and matching, unclosed (:attr:`Msc.hb_generators`)."""
+    return msc.hb_generators
 
 
 # -- send groups -----------------------------------------------------------

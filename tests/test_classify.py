@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import random_msc
+from msckit import graph, relations
 from msckit.classify import (
     MODELS,
     ClassReport,
@@ -19,8 +20,9 @@ from msckit.classify import (
     membership,
     nn_linearize,
     oracle_membership,
+    rsc_linearize,
 )
-from msckit.core import EMPTY_MSC, Msc, send, recv
+from msckit.core import EMPTY_MSC, Msc, send, recv, validate
 from msckit.corpus import EXAMPLES, example
 
 # expected class set per corpus example, frozen from the enumeration oracle
@@ -307,3 +309,44 @@ def test_oracle_equivalence_random():
 def test_membership_unknown_model():
     with pytest.raises(ValueError):
         membership(EMPTY_MSC, "sync")
+
+
+def test_deciding_and_witnessing_order_each_relation_once(monkeypatch):
+    """On a fresh chart, deciding a model and then witnessing it orders
+    the model's relation once and no relation object twice: validate then
+    linearize for asy, p2p and co, membership then linearize for mb and
+    onen, find_crown then rsc_linearize for rsc."""
+    ordered = []
+    real = graph.order
+
+    def counting(adj):
+        ordered.append(adj)
+        return real(adj)
+
+    monkeypatch.setattr(graph, "order", counting)
+    rng = random.Random(14)
+    charts = [example(name) for name in EXAMPLES]
+    charts += [random_msc(rng, max_events=12, procs=("p", "q", "r", "s")) for _ in range(80)]
+    witnessed = dict.fromkeys(("asy", "p2p", "co", "mb", "onen", "rsc"), 0)
+    for chart in charts:
+        for model in witnessed:
+            m = Msc(chart.processes, chart.labels, chart.proc_order, chart.matching)
+            ordered.clear()
+            if model == "rsc":
+                find_crown(m)
+                relation = relations.crown_digraph(m)
+            elif model in ("mb", "onen"):
+                membership(m, model)
+                relation = relations.scheduling(m, model)
+            else:
+                validate(m)
+                relation = m.hb_generators
+            if membership(m, model)[0]:
+                if model == "rsc":
+                    rsc_linearize(m)
+                else:
+                    linearize(m, model)
+                witnessed[model] += 1
+            assert sum(adj is relation.adjacency() for adj in ordered) == 1, (model, m)
+            assert len(set(map(id, ordered))) == len(ordered), (model, m)
+    assert min(witnessed.values()) > 10

@@ -134,23 +134,22 @@ def test_reach_bits_matches_reach():
     assert 20 < cyclic < 130
 
 
-def test_find_cycle_matches_all_starts_search():
+def test_order_is_ascending_kahn_or_all_starts_cycle():
     cyclic = 0
-    for nodes, edges in random_digraphs(2):
-        want = find_cycle_reference(nodes, edges)
-        assert graph.find_cycle(adjacency(nodes, edges)) == want
-        assert (want is None) == all(
-            (n, n) not in closure_reference(nodes, edges) for n in nodes
-        )
-        cyclic += want is not None
-    assert 20 < cyclic < 130  # both sides are exercised
-
-
-def test_topo_order_is_ascending_kahn():
-    for nodes, edges in random_digraphs(3):
-        want = topo_reference(nodes, edges)
-        assert graph.topo_order(adjacency(nodes, edges)) == want
-        assert (want is None) == (find_cycle_reference(nodes, edges) is not None)
+    for seed in (2, 3):
+        for nodes, edges in random_digraphs(seed):
+            topo = topo_reference(nodes, edges)
+            cycle = find_cycle_reference(nodes, edges)
+            assert graph.order(adjacency(nodes, edges)) == (
+                None if topo is None else tuple(topo),
+                None if cycle is None else tuple(cycle),
+            )
+            assert (topo is None) == (cycle is not None)
+            assert (cycle is None) == all(
+                (n, n) not in closure_reference(nodes, edges) for n in nodes
+            )
+            cyclic += cycle is not None
+    assert 40 < cyclic < 260  # both sides are exercised
 
 
 def test_sccs_are_mutual_reachability_classes():

@@ -51,15 +51,13 @@ def test_closure_of_generators_is_happens_before():
 
 
 def test_is_acyclic_empty():
-    ok, cycle = relations.is_acyclic(RelationGraph.of([], []))
-    assert ok and cycle is None
+    assert RelationGraph.of([], []).order == ((), None)
 
 
 def test_is_acyclic_hb_strict():
     m = example("pipeline")
     strict = {(a, b) for a, b in happens_before(m).edges if a != b}
-    ok, _ = relations.is_acyclic(RelationGraph.of(m.events, strict))
-    assert ok
+    assert RelationGraph.of(m.events, strict).order[1] is None
 
 
 def test_mb_rel_mailbox_cross():
@@ -69,9 +67,9 @@ def test_mb_rel_mailbox_cross():
 
 
 def test_mb_cycle_mailbox_cross():
-    ok, cycle = relations.is_acyclic(relations.mb_generators(example("mailbox_cross")))
-    assert not ok
-    assert cycle == [0, 1, 4, 5, 0]  # !1 -> !2 mb !3 -> !4 mb !1
+    order, cycle = relations.mb_generators(example("mailbox_cross")).order
+    assert order is None
+    assert cycle == (0, 1, 4, 5, 0)  # !1 -> !2 mb !3 -> !4 mb !1
 
 
 def test_mb_rel_no_common_receiver():
@@ -85,8 +83,7 @@ def test_mb_rel_blocked_matched_beats_unmatched():
 
 
 def test_mb_partial_two_targets_acyclic():
-    ok, _ = relations.is_acyclic(relations.mb_generators(example("two_targets")))
-    assert ok
+    assert relations.mb_generators(example("two_targets")).order[1] is None
 
 
 def test_mb_partial_empty_msc():
@@ -96,14 +93,12 @@ def test_mb_partial_empty_msc():
 
 
 def test_onen_cycle_overtake():
-    ok, _ = relations.is_acyclic(relations.onen_generators(example("overtake")))
-    assert not ok
+    assert relations.onen_generators(example("overtake")).order[0] is None
 
 
 def test_onen_two_targets_acyclic_with_witness():
     m = example("two_targets")
-    ok, _ = relations.is_acyclic(relations.onen_generators(m))
-    assert ok
+    assert relations.onen_generators(m).order[1] is None
     from msckit.classify import check_linearization
 
     # !1 !2 !3 ?1 ?2 ?3 from the text
@@ -116,13 +111,12 @@ def test_onen_rel_empty_when_single_sends():
 
 
 def test_bowtie_pipeline_acyclic():
-    ok, _ = relations.is_acyclic(relations.nn_bowtie(example("pipeline")))
-    assert ok
+    assert relations.nn_bowtie(example("pipeline")).order[1] is None
 
 
 def test_bowtie_late_receive_cyclic():
-    ok, cycle = relations.is_acyclic(relations.nn_bowtie(example("late_receive")))
-    assert not ok and cycle
+    order, cycle = relations.nn_bowtie(example("late_receive")).order
+    assert order is None and cycle
 
 
 def test_bowtie_single_message():
@@ -184,13 +178,9 @@ def test_relb_asy_matches_relb_verdicts_on_random_p2p():
         checked += 1
         hb = {(a, b) for a, b in happens_before(m).edges if a != b}
         for k in (1, 2, 3):
-            a = relations.is_acyclic(
-                RelationGraph.of(m.events, hb | relations.relb(m, k).edges)
-            )[0]
-            b = relations.is_acyclic(
-                RelationGraph.of(m.events, hb | relations.relb_asy(m, k).edges)
-            )[0]
-            assert a == b
+            a = RelationGraph.of(m.events, hb | relations.relb(m, k).edges).order[1]
+            b = RelationGraph.of(m.events, hb | relations.relb_asy(m, k).edges).order[1]
+            assert (a is None) == (b is None)
 
 
 def relb_asy_by_subsets(msc, k):
@@ -279,9 +269,9 @@ def test_saturation_matches_plain_loop():
         bowtie = relations.transitive_closure(relations.nn_bowtie(m))
         if want is None:
             cyclic += 1
-            assert not relations.is_acyclic(bowtie)[0]
+            assert bowtie.order[1] is not None
         else:
-            assert relations.is_acyclic(bowtie)[0]
+            assert bowtie.order[1] is None
             assert bowtie.edges <= want
             grew += bowtie.edges != want
     assert cyclic > 50 and grew > 3
@@ -391,9 +381,9 @@ def test_no_unmatched_mb_iff_onen():
         m = random_msc(rng, max_events=7)
         if m.unmatched_sends:
             continue
-        a = relations.is_acyclic(relations.mb_generators(m))[0]
-        b = relations.is_acyclic(relations.onen_generators(m))[0]
-        assert a == b
+        a = relations.mb_generators(m).order[1]
+        b = relations.onen_generators(m).order[1]
+        assert (a is None) == (b is None)
 
 
 def edge_list(rel):
