@@ -10,16 +10,18 @@ behaviors of a system is prefix closed.
 
 `explore` enumerates, breadth-first by event count and deduplicated up
 to isomorphism, every MSC admitting a run that belongs to a
-communication model.  One search serves all seven models; the model
-only chooses how channels deliver:
+communication model.  One search serves all seven models, and one
+stepping path: the model only chooses the channel discipline of
+:mod:`msckit.network` the search steps, and sends and receives go
+through `network.step` and `network.receives` alone.
 
-* p2p, mb, onen and nn step the model's canonical queue network
-  (:mod:`msckit.network`), so every behavior reached is the chart of a
-  network execution and lies in the class by construction;
-* asy, co and rsc keep the in-flight messages in a bag, from which a
-  receive may take any send with its channel and payload; co and rsc
-  prune partial behaviors that no extension can bring back into the
-  class.
+* p2p, mb, onen and nn step the model's canonical queue network, so
+  every behavior reached is the chart of a network execution and lies
+  in the class by construction;
+* asy, co and rsc step the bag, from which a receive may take any send
+  with its channel and payload, and their charts are filtered by
+  membership; co, being prefix closed, also drops the partial behaviors
+  outside the class, since no extension brings them back.
 
 `bounded_synchronizability` searches the explored space for a violation
 of a boundedness or synchronizability predicate and reports an honest
@@ -34,7 +36,7 @@ from typing import Iterator, Mapping, NamedTuple
 
 from . import bounded as bounded_mod
 from . import network
-from .classify import MODELS, find_crown, membership
+from .classify import MODELS, membership
 from .core import Action, Msc, MscError, require_valid
 
 Transition = tuple[str, Action, str]
@@ -152,11 +154,12 @@ def explore(sys: CfsmSystem, model: str = "asy", max_events: int = 6) -> Iterato
     that first reached it.  p2p, mb, onen and nn step the model's queue
     network: a receive consumes the head of its queue, so each chart
     replays on that network and lies in the class by construction.  asy,
-    co and rsc match a receive against any in-flight send with the right
-    channel and payload (a bag), so non-FIFO matchings are reached too;
-    co and rsc drop the executions that no extension can bring back into
-    the class, and the charts are filtered by
-    :func:`msckit.classify.membership` when emitted.
+    co and rsc step the bag, where a receive takes any in-flight send
+    with the right channel and payload, so non-FIFO matchings are
+    reached too, and the charts are filtered by
+    :func:`msckit.classify.membership` when emitted.  co is prefix
+    closed, so it also drops each execution whose chart lies outside the
+    class: no extension can bring it back.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
@@ -164,33 +167,21 @@ def explore(sys: CfsmSystem, model: str = "asy", max_events: int = 6) -> Iterato
     if not processes:  # no machine, no step: only the empty chart
         yield Msc(processes, {}, {}, {})
         return
-    net = None
-    config: object = ()  # the bag: sorted (send coordinates, message) entries
-    if model in network.KINDS:
-        # peers without a machine still get queues: their messages stay in flight
-        labels = [t[1] for m in sys.machines.values() for t in m.transitions]
-        net = network.network_for(model, network.full_process_set(labels, processes))
-        config = network.NetworkConfig.initial(net)
-    # per process and state: (action, target, label text, is send, where)
-    # per transition, where is its queue slot, or in a bag its message
+    # peers without a machine still get channels: their messages stay in flight
+    labels = [t[1] for m in sys.machines.values() for t in m.transitions]
+    net = network.network_for(
+        model if model in network.KINDS else network.BAG,
+        network.full_process_set(labels, processes),
+    )
+    # per process and state: (action, target, label text, is send)
     moves = [
         {
-            state: [
-                (
-                    a,
-                    dst,
-                    str(a),
-                    a.is_send,
-                    (a.channel, a.payload) if net is None else net.slot_of(a.sender, a.receiver),
-                )
-                for _, a, dst in sys.machines[p].steps_from(state)
-            ]
+            state: [(a, dst, str(a), a.is_send) for _, a, dst in sys.machines[p].steps_from(state)]
             for state in sys.machines[p].states
         }
         for p in processes
     ]
     by_name = sorted(range(len(processes)), key=processes.__getitem__)
-    prune = model in ("co", "rsc")
 
     def canonical(chart) -> tuple:
         """:meth:`Msc.canonical` of the chart: its nonempty lines by
@@ -206,7 +197,7 @@ def explore(sys: CfsmSystem, model: str = "asy", max_events: int = 6) -> Iterato
         tuple(sys.machines[p].initial for p in processes),
         (),
         (),
-        config,
+        network.initial(net),
         tuple(() for _ in processes),
         frozenset(),
     )
@@ -218,7 +209,7 @@ def explore(sys: CfsmSystem, model: str = "asy", max_events: int = 6) -> Iterato
         for chart in sorted(charts, key=canonical):
             ex = charts[chart]
             msc = ex.to_msc(processes) if ex.msc is None else ex.msc
-            if net is not None or membership(msc, model)[0]:
+            if model in network.KINDS or membership(msc, model)[0]:
                 yield msc
         if depth == max_events:
             return
@@ -227,22 +218,13 @@ def explore(sys: CfsmSystem, model: str = "asy", max_events: int = 6) -> Iterato
             states, words, config = ex.states, ex.words, ex.config
             for pi, state in enumerate(states):
                 coord = (pi, len(words[pi]))
-                for action, dst, label, is_send, where in moves[pi][state]:
+                for action, dst, label, is_send in moves[pi][state]:
                     # (configuration after the step, coordinates of the
                     # send a receive consumes) per way to take the step
-                    if net is not None:
-                        after = network.step(net, config, action, origin=coord)
-                        if after is None:
-                            continue
-                        ways = ((after, None if is_send else config.slots[where][0][3]),)
-                    elif is_send:
-                        ways = ((tuple(sorted(config + ((coord, where),))), None),)
+                    if is_send:
+                        ways = ((network.step(net, config, action, origin=coord), None),)
                     else:
-                        ways = [
-                            (config[:i] + config[i + 1 :], c)
-                            for i, (c, m) in enumerate(config)
-                            if m == where
-                        ]
+                        ways = network.receives(net, config, action)
                     for after, source in ways:
                         placed = ex.placed if source is None else ex.placed | {(source, coord)}
                         key = (
@@ -255,10 +237,9 @@ def explore(sys: CfsmSystem, model: str = "asy", max_events: int = 6) -> Iterato
                             continue
                         actions, coords = ex.actions + (action,), ex.coords + (coord,)
                         succ = _Execution(key[0], actions, coords, after, key[1], placed)
-                        if prune:
-                            succ = succ._replace(msc=succ.to_msc(processes))
-                            if _prunable(succ.msc, model):
-                                succ = None
+                        if model == "co":  # prefix closed: drop what lies outside
+                            msc = succ.to_msc(processes)
+                            succ = succ._replace(msc=msc) if membership(msc, model)[0] else None
                         nxt[key] = succ
         level = [ex for ex in nxt.values() if ex is not None]
         if not level:
@@ -273,9 +254,9 @@ class _Execution(NamedTuple):
     states: tuple[str, ...]  # machine state per process, in system order
     actions: tuple[Action, ...]  # label of event i
     coords: tuple[tuple[int, int], ...]  # coordinates of event i
-    # the queue network configuration or the bag, every entry tagged with
-    # its send's coordinates
-    config: object
+    # the network configuration, every entry tagged with its send's
+    # coordinates
+    config: network.Config
     words: tuple[tuple[str, ...], ...]  # label text along each process line
     placed: frozenset  # the matching as (send, receive) coordinate pairs
     msc: Msc | None = None  # the chart, once built
@@ -288,22 +269,6 @@ class _Execution(NamedTuple):
         # the matching in receive order
         matching = {s: r for r, s in sorted((ids[r], ids[s]) for s, r in self.placed)}
         return Msc(processes, dict(enumerate(self.actions)), dict(zip(processes, lines)), matching)
-
-
-def _prunable(msc: Msc, model: str) -> bool:
-    """True when no extension of this partial behavior can lie in the
-    model class (co and rsc; asy needs no pruning).
-
-    The partial MSC is a happens-before prefix of all its extensions.
-    co is prefix closed, so a partial outside it dooms every extension;
-    crowns only ever grow, since happens-before between surviving events
-    persists, so a partial with a crown dooms every rsc extension.
-    """
-    if model == "co":
-        return not membership(msc, model)[0]
-    if model == "rsc":
-        return find_crown(msc) is not None
-    return False
 
 
 # -- bounded synchronizability ------------------------------------------------------

@@ -176,7 +176,9 @@ def cmd_exec(args) -> int:
         result = network.run_execution(net, actions)
         if result.ok:
             leftover = {
-                qid: [e[2] for e in entries] for qid, entries in result.config.queues if entries
+                qid: [e[2] for e in entries]
+                for qid, entries in zip(net.queue_ids, result.config)
+                if entries
             }
             _out(
                 args,

@@ -159,7 +159,12 @@ class RelationGraph:
         return self._succ
 
     def __or__(self, other: "RelationGraph") -> "RelationGraph":
-        """The union of two relations on the same nodes."""
+        """The union of two relations on the same nodes; when one has no
+        edges it is the other itself, views and all."""
+        if not any(other._succ.values()):
+            return self
+        if not any(self._succ.values()):
+            return other
         return RelationGraph({n: {*bs, *other._succ[n]} for n, bs in self._succ.items()})
 
     def __eq__(self, other: object) -> bool:

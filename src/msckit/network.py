@@ -1,35 +1,43 @@
 """
 Queuing-network operational semantics.
 
-A network assigns a FIFO queue to every ordered process pair.  The four
-canonical shapes are one queue per pair (``p2p``), one per receiver
+A network assigns a queue slot to every ordered process pair.  The four
+canonical FIFO shapes are one queue per pair (``p2p``), one per receiver
 (``mb``), one per sender (``onen``), and a single shared queue (``nn``).
-An execution is a sequence of actions replayed from the all-empty
-configuration: a send appends to its queue, a receive succeeds only when
-the head entry carries exactly its channel and payload.
+The bag (``asy``) has one slot per channel, from which a receive may
+take any entry with its message; it serves exploration, and the queue
+shapes are the ones executions are classified against.  An execution is
+a sequence of actions replayed from the all-empty configuration: a send
+appends to its slot, and a receive takes an entry that
+:func:`receives` offers: in a queue only the head, and only when it
+carries exactly the receive's channel and payload.
 
-Queue entries keep (sender, receiver, payload, origin) rather than the
-bare payload.  With the assignment-consistency invariant this accepts
+Entries keep (sender, receiver, payload, origin) rather than the bare
+payload.  With the assignment-consistency invariant this accepts
 exactly the same executions.  The origin is a tag the caller picks for
 each send: `run_execution` and `execution_to_msc` use its position in
 the execution, which lets a replay be folded back into an MSC, and
 `cfsm.explore` its (process index, line index) coordinate.  A
-configuration holds the entries of each queue at the queue's position
-in `QueueNetwork.queue_ids`, so a step replaces one slot.
+configuration is the plain tuple of slot contents, in
+`QueueNetwork.queue_ids` order, so a step replaces one slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Mapping, Sequence
 
 from .core import Action, Linearization, Msc, MscError, require_valid
 
 KINDS = ("p2p", "mb", "onen", "nn")
+# the kind whose slots are bags: a receive may take any entry with its message
+BAG = "asy"
 
 # sender, receiver, payload, origin: a tag the caller gives the send
 Entry = tuple[str, str, str, Any]
+# the entries of each slot, in `queue_ids` order
+Config = tuple[tuple[Entry, ...], ...]
 
 
 class ExecutionRejected(MscError):
@@ -67,30 +75,19 @@ class QueueNetwork:
             raise MscError(f"no queue assigned to channel ({p},{q})") from None
 
 
-class NetworkConfig(NamedTuple):
-    slots: tuple[tuple[Entry, ...], ...]  # entries per queue, in `queue_ids` order
-    queue_ids: tuple[str, ...]
-
-    @staticmethod
-    def initial(net: QueueNetwork) -> "NetworkConfig":
-        return NetworkConfig(((),) * len(net.queue_ids), net.queue_ids)
-
-    @property
-    def queues(self) -> tuple[tuple[str, tuple[Entry, ...]], ...]:
-        """(queue id, entries) per queue."""
-        return tuple(zip(self.queue_ids, self.slots))
-
-    def content(self, qid: str) -> tuple[Entry, ...]:
-        return dict(self.queues)[qid]
+def initial(net: QueueNetwork) -> Config:
+    """The configuration with every slot empty."""
+    return ((),) * len(net.queue_ids)
 
 
 def network_for(kind: str, processes: Sequence[str]) -> QueueNetwork:
-    """The canonical network of the requested shape over a process set."""
+    """The canonical network of the requested shape, or the bag, over a
+    process set."""
     procs = tuple(processes)
     if not procs:
         raise MscError("network needs a nonempty process set")
     pairs = [(p, q) for p in procs for q in procs if p != q]
-    if kind == "p2p":
+    if kind in ("p2p", BAG):
         assign = {(p, q): f"{p}>{q}" for p, q in pairs}
     elif kind == "mb":
         assign = {(p, q): q for p, q in pairs}
@@ -105,26 +102,37 @@ def network_for(kind: str, processes: Sequence[str]) -> QueueNetwork:
 
 
 def step(
-    net: QueueNetwork, config: NetworkConfig, action: Action, origin: Any = -1
-) -> NetworkConfig | None:
-    """One transition, or None when the action is not enabled; a send's
-    entry is tagged with `origin`."""
+    net: QueueNetwork, config: Config, action: Action, origin: Any = -1
+) -> Config | None:
+    """One transition, or None when the action is not enabled: a send
+    appends its entry, tagged with `origin`, and a receive takes the
+    first way :func:`receives` offers."""
+    if not action.is_send:
+        ways = receives(net, config, action)
+        return ways[0][0] if ways else None
     i = net.slot_of(action.sender, action.receiver)
-    slots = config.slots
-    entries = slots[i]
-    if action.is_send:
-        entries += ((action.sender, action.receiver, action.payload, origin),)
-    elif entries and entries[0][:3] == (action.sender, action.receiver, action.payload):
-        entries = entries[1:]
-    else:
-        return None
-    return NetworkConfig(slots[:i] + (entries,) + slots[i + 1 :], config.queue_ids)
+    entry = (action.sender, action.receiver, action.payload, origin)
+    return config[:i] + (config[i] + (entry,),) + config[i + 1 :]
+
+
+def receives(net: QueueNetwork, config: Config, action: Action) -> list[tuple[Config, Any]]:
+    """Every way to take the receive `action`, as (configuration after,
+    origin of the consumed entry): a queue offers its head, the bag each
+    entry of the channel, oldest first, that carries the message."""
+    i = net.slot_of(action.sender, action.receiver)
+    entries = config[i]
+    message = (action.sender, action.receiver, action.payload)
+    ways = []
+    for j, e in enumerate(entries if net.kind == BAG else entries[:1]):
+        if e[:3] == message:
+            ways.append((config[:i] + (entries[:j] + entries[j + 1 :],) + config[i + 1 :], e[3]))
+    return ways
 
 
 @dataclass(frozen=True)
 class ReplayResult:
     ok: bool
-    config: NetworkConfig
+    config: Config
     failed_at: int | None = None
 
     def __bool__(self) -> bool:
@@ -134,7 +142,7 @@ class ReplayResult:
 def run_execution(net: QueueNetwork, actions: Sequence[Action]) -> ReplayResult:
     """Fold :func:`step` from the initial configuration, reporting the
     index of the first refused action if any."""
-    config = NetworkConfig.initial(net)
+    config = initial(net)
     for i, a in enumerate(actions):
         nxt = step(net, config, a, origin=i)
         if nxt is None:
@@ -191,15 +199,17 @@ def execution_to_msc(
     matching: dict[int, int] = {}
     if procs:
         net = network_for(kind, procs)
-        config = NetworkConfig.initial(net)
+        config = initial(net)
         for i, a in enumerate(actions):
             proc_order[a.process].append(i)
-            nxt = step(net, config, a, origin=i)
-            if nxt is None:
+            if a.is_send:
+                config = step(net, config, a, origin=i)
+                continue
+            ways = receives(net, config, a)
+            if not ways:
                 raise ExecutionRejected(i, a)
-            if not a.is_send:
-                matching[config.slots[net.slot_of(a.sender, a.receiver)][0][3]] = i
-            config = nxt
+            config, send_at = ways[0]
+            matching[send_at] = i
     msc = Msc(procs, dict(enumerate(actions)), proc_order, matching)
     require_valid(msc)
     return msc

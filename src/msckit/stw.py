@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from . import graph
 from .core import Msc, MscError, require_valid
 
 DEFAULT_GAME_BOUND = 20
@@ -33,16 +34,6 @@ DEFAULT_GAME_BOUND = 20
 
 class GameSizeError(MscError):
     pass
-
-
-def _bits(mask: int) -> list[int]:
-    """The ranks set in mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 class _Solver:
@@ -60,7 +51,7 @@ class _Solver:
         self.plan: dict[tuple[int, int], tuple[int, tuple[tuple[int, int], ...]]] = {}
 
     def ids(self, mask: int) -> list[int]:
-        return [self.events[v] for v in _bits(mask)]
+        return [self.events[v] for v in graph.bits_of(mask)]
 
     def components(self, nodes: int, marked: int) -> list[int]:
         """The components of the fragment, in order of their lowest event."""
@@ -99,7 +90,7 @@ class _Solver:
 
     def _search(self, nodes: int, marked: int, key: tuple[int, int]) -> bool:
         free = self.budget - marked.bit_count()
-        unmarked = _bits(nodes & ~marked)
+        unmarked = graph.bits_of(nodes & ~marked)
         if len(unmarked) <= free:
             # mark everything at once: terminal position
             self.plan[key] = (nodes, ())

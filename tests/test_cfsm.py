@@ -4,7 +4,7 @@ from typing import Iterator
 
 import pytest
 
-from msckit import network
+from msckit import cfsm, network
 from msckit.cfsm import (
     CfsmSystem,
     Machine,
@@ -297,6 +297,27 @@ def test_explore_matches_reference(model):
         fast = [m.canonical() for m in explore(sys_, model, 5)]
         slow = [m.canonical() for m in reference_explore(sys_, model, 5)]
         assert fast == slow
+
+
+def test_rsc_builds_the_charts_asy_builds(monkeypatch):
+    # rsc steps the bag as asy does and builds a chart only to emit or
+    # filter it, never one per successor
+    built = []
+
+    def counting_to_msc(ex, processes):
+        built.append(ex)
+        return real_to_msc(ex, processes)
+
+    real_to_msc = cfsm._Execution.to_msc
+    monkeypatch.setattr(cfsm._Execution, "to_msc", counting_to_msc)
+    counts = {}
+    for model in ("asy", "rsc"):
+        built.clear()
+        for sys_ in differential_systems():
+            for _ in explore(sys_, model, 5):
+                pass
+        counts[model] = len(built)
+    assert counts["rsc"] == counts["asy"] > 0
 
 
 @pytest.mark.parametrize("model", network.KINDS)

@@ -7,14 +7,16 @@ from msckit.classify import linearize, membership
 from msckit.core import enumerate_linearizations, send, recv, validate
 from msckit.corpus import EXAMPLES, example
 from msckit.network import (
+    BAG,
     KINDS,
     ExecutionRejected,
-    NetworkConfig,
     QueueNetwork,
     classify_execution,
     execution_to_msc,
+    initial,
     linearization_to_execution,
     network_for,
+    receives,
     run_execution,
     step,
 )
@@ -60,14 +62,14 @@ def test_equal_networks_hash_equal():
 
 def test_step_send_appends():
     net = network_for("p2p", ("p", "q"))
-    cfg = step(net, NetworkConfig.initial(net), send("p", "q", "m"))
+    cfg = step(net, initial(net), send("p", "q", "m"))
     assert cfg is not None
-    assert [e[2] for e in cfg.content("p>q")] == ["m"]
+    assert [e[2] for e in cfg[net.queue_ids.index("p>q")]] == ["m"]
 
 
 def test_step_example1_fails_on_nn():
     net = network_for("nn", PQR)
-    cfg = NetworkConfig.initial(net)
+    cfg = initial(net)
     for a in EX1[:2]:
         cfg = step(net, cfg, a)
     assert step(net, cfg, EX1[2]) is None  # m1 heads the single queue
@@ -75,16 +77,17 @@ def test_step_example1_fails_on_nn():
 
 def test_step_example2_fails_on_mb():
     net = network_for("mb", PQR)
-    cfg = NetworkConfig.initial(net)
+    cfg = initial(net)
     for a in EX2[:2]:
         cfg = step(net, cfg, a)
     assert step(net, cfg, EX2[2]) is None  # m2 overtakes m1 in q's mailbox
 
 
 def test_run_example2_p2p_leftover():
-    result = run_execution(network_for("p2p", PQR), EX2)
+    net = network_for("p2p", PQR)
+    result = run_execution(net, EX2)
     assert result.ok
-    leftover = {qid: entries for qid, entries in result.config.queues if entries}
+    leftover = {qid: entries for qid, entries in zip(net.queue_ids, result.config) if entries}
     assert list(leftover) == ["p>q"]
     assert leftover["p>q"][0][2] == "m1"
 
@@ -92,7 +95,7 @@ def test_run_example2_p2p_leftover():
 def test_run_empty():
     net = network_for("mb", PQR)
     result = run_execution(net, [])
-    assert result.ok and result.config == NetworkConfig.initial(net)
+    assert result.ok and result.config == initial(net) == ((),) * len(net.queue_ids)
 
 
 def test_run_example1_onen():
@@ -235,18 +238,17 @@ def test_step_matches_fifo_reference(kind):
         # a coordinate-like tag, as exploration uses, and positions, as replay does
         for tag in (lambda i: ("tag", i), lambda i: i):
             snapshots, failed_at, matching = _fifo_reference(net, actions, tag)
-            config = NetworkConfig.initial(net)
+            config = initial(net)
             for i, a in enumerate(actions):
                 want = snapshots[i]
-                assert config.queues == tuple(zip(net.queue_ids, want))
-                assert [config.content(qid) for qid in net.queue_ids] == want
-                assert (config == NetworkConfig.initial(net)) == (not any(want))
+                assert config == tuple(want)
+                assert (config == initial(net)) == (not any(want))
                 config = step(net, config, a, origin=tag(i))
                 if i == failed_at:
                     assert config is None
                     break
             else:
-                assert config.queues == tuple(zip(net.queue_ids, snapshots[-1]))
+                assert config == tuple(snapshots[-1])
         result = run_execution(net, actions)
         assert result.ok == (failed_at is None) and result.failed_at == failed_at
         refused += not result.ok
@@ -257,3 +259,45 @@ def test_step_matches_fifo_reference(kind):
                 execution_to_msc(actions, kind, PQR)
             assert exc.value.position == failed_at
     assert 0 < refused < 150  # both outcomes occur
+
+
+# -- receives against a direct reference --------------------------------------------
+
+
+@pytest.mark.parametrize("kind", (BAG,) + KINDS)
+def test_receives_matches_reference(kind):
+    # the bag offers every entry of the channel that carries the message,
+    # oldest first; a queue offers at most its head
+    net = network_for(kind, PQR)
+    rng = random.Random(f"receives-{kind}")
+    ways_seen = set()
+    for _ in range(150):
+        actions = _random_execution(rng, rng.randrange(1, 16))
+        config, in_flight = initial(net), []  # in-flight entries in send order
+        for i, a in enumerate(actions):
+            if a.is_send:
+                config = step(net, config, a, origin=i)
+                in_flight.append((a.sender, a.receiver, a.payload, i))
+                continue
+            slot = net.slot_of(a.sender, a.receiver)
+            message = (a.sender, a.receiver, a.payload)
+            queue = [e for e in in_flight if net.slot_of(e[0], e[1]) == slot]
+            want = queue if kind == BAG else queue[:1]
+            want = [e[3] for e in want if e[:3] == message]
+            ways = receives(net, config, a)
+            assert [origin for _, origin in ways] == want
+            ways_seen.add(len(ways))
+            for after, origin in ways:
+                rest = [e for e in in_flight if e[3] != origin]
+                assert after == tuple(
+                    tuple(e for e in rest if net.slot_of(e[0], e[1]) == s)
+                    for s in range(len(net.queue_ids))
+                )
+            if not ways:
+                assert step(net, config, a) is None
+                break
+            config = step(net, config, a)
+            assert config == ways[0][0]
+            in_flight = [e for e in in_flight if e[3] != ways[0][1]]
+    # refusals and takes both occur, and only the bag offers a choice
+    assert {0, 1} <= ways_seen and (max(ways_seen) > 1) == (kind == BAG)

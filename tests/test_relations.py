@@ -386,6 +386,33 @@ def test_no_unmatched_mb_iff_onen():
         assert (a is None) == (b is None)
 
 
+def test_edgeless_union_reuses_the_generators(monkeypatch):
+    # with no 1-n or mailbox edges the onen and mb generators are the
+    # chart's happens-before generators, so validate's order serves both
+    from msckit import graph
+    from msckit.classify import membership
+    from msckit.core import validate
+    from msckit.io import parse_msc
+
+    ordered = []
+
+    def counting_order(adj):
+        ordered.append(adj)
+        return real_order(adj)
+
+    real_order = graph.order
+    monkeypatch.setattr(graph, "order", counting_order)
+    m = parse_msc(
+        "processes p q r\nmessage m0 p q\nmessage m1 r p\n"
+        "order p !m0 ?m1\norder q ?m0\norder r !m1\n"
+    )
+    assert validate(m).ok
+    assert membership(m, "onen")[0] and membership(m, "mb")[0]
+    assert len(ordered) == 1
+    assert not relations.onen_rel(m).edges and not relations.mb_rel(m).edges
+    assert relations.onen_generators(m) is relations.mb_generators(m) is m.hb_generators
+
+
 def edge_list(rel):
     """One `a b` pair per line, sorted."""
     return "\n".join(f"{a} {b}" for a, b in sorted(rel.edges))
