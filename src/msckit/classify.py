@@ -282,9 +282,8 @@ def linearize(msc: Msc, model: str) -> Linearization:
     return Linearization(lin.order, (model,))
 
 
-# The send pairs whose receives a model's clause orders: those with equal
-# keys (same channel, receiver, sender, or any two), ordered by the
-# linearization, or by happens-before for co.
+# The sends whose receives a model's clause orders: those with equal keys
+# (same channel, receiver, sender, or any two).
 _CLAUSE_KEYS = {
     "p2p": lambda a: a.channel,
     "co": lambda a: a.receiver,
@@ -298,10 +297,16 @@ def check_linearization(msc: Msc, lin: Linearization | Sequence[int], model: str
     """Evaluate the defining clause of `model` on a total order.
 
     The order must linearize the MSC.  For ``asy`` any linearization
-    qualifies; ``p2p`` and ``co`` constrain send pairs on one channel or
-    to one receiver; ``mb``, ``onen``, and ``nn`` compare receive order
-    with send order at the mailbox, sender, or global level; ``rsc``
-    wants each send immediately followed by its receive.
+    qualifies; ``rsc`` wants each send immediately followed by its
+    receive.  The others group sends by channel (``p2p``), receiver
+    (``co``, ``mb``), sender (``onen``) or not at all (``nn``), and
+    want, for two sends of a group ordered one before the other, the
+    later unmatched or both received in that order.  ``co`` orders sends
+    by happens-before and tests every such pair.  The rest order them by
+    the linearization, so one sweep over each group in order decides the
+    clause: a matched send fails if an unmatched send of its group came
+    before it, or if its receive comes before the latest receive of the
+    group's earlier sends.
     """
     require_valid(msc)
     order = lin.order if isinstance(lin, Linearization) else tuple(lin)
@@ -318,25 +323,32 @@ def check_linearization(msc: Msc, lin: Linearization | Sequence[int], model: str
 
     if model not in _CLAUSE_KEYS:
         raise ValueError(f"unknown model {model!r}")
-    groups: dict[object, list[int]] = {}
-    for s in msc.send_events:
-        groups.setdefault(_CLAUSE_KEYS[model](msc.labels[s]), []).append(s)
-    before = msc.hb_strict if model == "co" else lambda s1, s2: pos[s1] < pos[s2]
-
-    def receives_ordered(s1: int, s2: int) -> bool:
-        if s2 not in msc.matching:
-            return True
-        if s1 not in msc.matching:
+    key = _CLAUSE_KEYS[model]
+    if model == "co":
+        groups: dict[object, list[int]] = {}
+        for s in msc.send_events:
+            groups.setdefault(key(msc.labels[s]), []).append(s)
+        return all(
+            s2 not in msc.matching
+            or (s1 in msc.matching and pos[msc.matching[s1]] < pos[msc.matching[s2]])
+            for group in groups.values()
+            for s1 in group
+            for s2 in group
+            if s1 != s2 and msc.hb_strict(s1, s2)
+        )
+    # per group, the latest receive position so far; past the end once
+    # an unmatched send has come
+    latest: dict[object, int] = {}
+    for s in sorted(msc.send_events, key=pos.__getitem__):
+        k = key(msc.labels[s])
+        r = msc.matching.get(s)
+        if r is None:
+            latest[k] = len(order)
+        elif pos[r] < latest.get(k, -1):
             return False
-        return pos[msc.matching[s1]] < pos[msc.matching[s2]]
-
-    return all(
-        receives_ordered(s1, s2)
-        for group in groups.values()
-        for s1 in group
-        for s2 in group
-        if s1 != s2 and before(s1, s2)
-    )
+        else:
+            latest[k] = pos[r]
+    return True
 
 
 # -- membership dispatch and the brute-force oracle ----------------------------

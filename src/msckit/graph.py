@@ -114,9 +114,14 @@ def order(adj: Adjacency) -> tuple[tuple[int, ...], None] | tuple[None, tuple[in
 
     Kahn's algorithm, smallest ready id first, gives the order.  The
     nodes it leaves unordered hold every cycle and everything the
-    cycles reach; a breadth-first search runs from each of them in
-    ascending order, successors in ascending order, keeping the first
-    shortest cycle found."""
+    cycles reach.  If one of them has a self-loop, the cycle is (s, s)
+    for the least such s.  Otherwise a breadth-first search runs from
+    each member of a strongly connected component of two or more nodes,
+    in ascending order, successors in ascending order, keeping the first
+    shortest cycle found.  A search stays inside its start's component:
+    a cycle through the start lies in it, and no node outside it leads
+    back.  The cycle is the one a search from every leftover node over
+    all edges would find."""
     indeg = dict.fromkeys(adj, 0)
     for succs in adj.values():
         for m in succs:
@@ -133,19 +138,29 @@ def order(adj: Adjacency) -> tuple[tuple[int, ...], None] | tuple[None, tuple[in
                 heapq.heappush(ready, m)
     if len(done) == len(adj):
         return tuple(done), None
+    left = set(adj).difference(done)  # closed under successors
+    loop = min((n for n in left if n in adj[n]), default=None)
+    if loop is not None:
+        return None, (loop, loop)
+    inner: dict[int, list[int]] = {}  # successors inside the node's component
+    for comp in sccs({n: adj[n] for n in left}):
+        if len(comp) > 1:
+            members = set(comp)
+            for n in comp:
+                inner[n] = sorted(members.intersection(adj[n]))
     best: list[int] | None = None
-    for start in sorted(set(adj).difference(done)):
+    for start in sorted(inner):
         parent: dict[int, int] = {}
         frontier = [start]
         depth = 0
         found = None
         while frontier and found is None:
             depth += 1
-            if best is not None and depth >= len(best):
-                break
+            if best is not None and depth >= len(best) - 1:
+                break  # a cycle found now would be no shorter
             nxt = []
             for n in frontier:
-                for m in sorted(adj[n]):
+                for m in inner[n]:
                     if m == start:
                         found = n
                         break
@@ -158,9 +173,6 @@ def order(adj: Adjacency) -> tuple[tuple[int, ...], None] | tuple[None, tuple[in
         if found is not None:
             path = [found]
             while path[-1] != start:
-                path.append(parent[path[-1]] if path[-1] in parent else start)
-            path.reverse()
-            cycle = path + [start]
-            if best is None or len(cycle) < len(best):
-                best = cycle
+                path.append(parent[path[-1]])
+            best = path[::-1] + [start]
     return None, tuple(best)

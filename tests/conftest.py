@@ -6,11 +6,13 @@ from msckit.core import Msc, recv, send
 from msckit.corpus import EXAMPLES, example
 
 
-def random_msc(rng: random.Random, max_events: int = 8, procs=("p", "q", "r")) -> Msc:
+def random_msc(
+    rng: random.Random, max_events: int = 8, procs=("p", "q", "r"), min_events: int = 0
+) -> Msc:
     """A uniformly sized random valid MSC, built along a global timeline:
     each step either fires a fresh send or matches a random pending one,
     so receives can cross (non-FIFO matchings included)."""
-    n = rng.randint(0, max_events)
+    n = rng.randint(min_events, max_events)
     labels, matching = {}, {}
     proc_order: dict[str, list[int]] = {p: [] for p in procs}
     pending: list[tuple[int, str, str, str]] = []

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -22,7 +23,7 @@ from msckit.classify import (
     oracle_membership,
     rsc_linearize,
 )
-from msckit.core import EMPTY_MSC, Msc, send, recv, validate
+from msckit.core import EMPTY_MSC, Msc, enumerate_linearizations, send, recv, validate
 from msckit.corpus import EXAMPLES, example
 
 # expected class set per corpus example, frozen from the enumeration oracle
@@ -147,6 +148,63 @@ def test_check_linearization_two_targets_examples():
     assert not check_linearization(m, (0, 1, 4, 2, 5, 3), "onen")
     assert check_linearization(m, (0, 4, 1, 5, 2, 3), "onen")  # !1 !3 !2 ?1 ?2 ?3
     assert not check_linearization(m, (0, 4, 1, 5, 2, 3), "mb")
+
+
+CLAUSE_MODELS = ("p2p", "co", "mb", "onen", "nn")
+
+
+def clause_reference(msc, order, model):
+    """The defining clause of p2p, co, mb, onen or nn on a total order,
+    pair by pair: of two sends to one channel (p2p), to one receiver (co,
+    mb), from one sender (onen) or of any kind (nn), the one ordered
+    second (by happens-before for co, by the order otherwise) is
+    unmatched, or both are matched and received in that order."""
+    key = {
+        "p2p": lambda a: a.channel,
+        "co": lambda a: a.receiver,
+        "mb": lambda a: a.receiver,
+        "onen": lambda a: a.sender,
+        "nn": lambda a: None,
+    }[model]
+    groups = {}
+    for s in msc.send_events:
+        groups.setdefault(key(msc.labels[s]), []).append(s)
+    pos = {e: i for i, e in enumerate(order)}
+    before = msc.hb_strict if model == "co" else lambda s1, s2: pos[s1] < pos[s2]
+
+    def receives_ordered(s1, s2):
+        if s2 not in msc.matching:
+            return True
+        if s1 not in msc.matching:
+            return False
+        return pos[msc.matching[s1]] < pos[msc.matching[s2]]
+
+    return all(
+        receives_ordered(s1, s2)
+        for group in groups.values()
+        for s1 in group
+        for s2 in group
+        if s1 != s2 and before(s1, s2)
+    )
+
+
+def test_check_linearization_matches_pairwise_clause():
+    """The sweep (and co's pairwise test) against the pairwise clause on
+    every linearization of the corpus charts and the first 200 of seeded
+    random charts."""
+    rng = random.Random(15)
+    charts = [(m, enumerate_linearizations(m)) for m in map(example, EXAMPLES)]
+    for _ in range(60):
+        m = random_msc(rng, max_events=12, procs=("p", "q", "r", "s"))
+        charts.append((m, islice(enumerate_linearizations(m), 200)))
+    verdicts = {model: set() for model in CLAUSE_MODELS}
+    for m, lins in charts:
+        for lin in lins:
+            for model in CLAUSE_MODELS:
+                want = clause_reference(m, lin.order, model)
+                assert check_linearization(m, lin, model) == want, (model, m, lin)
+                verdicts[model].add(want)
+    assert all(v == {False, True} for v in verdicts.values())
 
 
 def test_check_linearization_empty():

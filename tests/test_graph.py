@@ -8,8 +8,11 @@ import random
 
 import pytest
 
-from msckit import graph, relations
-from msckit.core import RelationGraph
+from conftest import random_msc
+from msckit import graph, network, relations
+from msckit.bounded import exists_k_bounded
+from msckit.classify import classify
+from msckit.core import RelationGraph, recv, send
 
 
 def closure_reference(nodes, edges, reflexive=False):
@@ -104,6 +107,76 @@ def random_digraphs(seed, count=150):
         yield nodes, edges
 
 
+def confined_digraphs(seed, count=40):
+    """Digraphs whose cycles sit in a few strongly connected components,
+    in turn:
+
+    0. cyclic components (a ring plus chords) joined by one-way bridges;
+    1. one cyclic component at ids 100-139, reached from nodes on no
+       cycle at lower ids, and reaching a few nodes at higher ids;
+    2. a self-loop at a higher id than a 2-cycle, amid acyclic edges;
+    3. dense, closure-like digraphs of 60-120 nodes: edges going up with
+       high probability, closed transitively in every other graph, and
+       one to three edges going down from the end of a walk up (two or
+       more steps) to its start, in the open graphs in place of any edge
+       going straight up between the two."""
+    rng = random.Random(seed)
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            ids = rng.sample(range(200), rng.randint(6, 40))
+            cut = sorted(rng.sample(range(1, len(ids)), rng.randint(1, min(4, len(ids) - 1))))
+            comps = [ids[a:b] for a, b in zip([0] + cut, cut + [len(ids)])]
+            edges = set()
+            for comp in comps:
+                if len(comp) > 1:
+                    edges |= set(zip(comp, comp[1:] + comp[:1]))
+                for _ in range(len(comp) // 2):
+                    a, b = rng.choice(comp), rng.choice(comp)
+                    if a != b:
+                        edges.add((a, b))
+            for x, y in zip(comps, comps[1:]):  # bridges run one way only
+                for _ in range(rng.randint(1, 3)):
+                    edges.add((rng.choice(x), rng.choice(y)))
+        elif kind == 1:
+            cycle = rng.sample(range(100, 140), rng.randint(2, 8))
+            edges = set(zip(cycle, cycle[1:] + cycle[:1]))
+            tails = rng.sample(range(100), rng.randint(1, 15))
+            for j, t in enumerate(tails):
+                edges.add((t, rng.choice(cycle + tails[j + 1 :])))
+            ids = cycle + tails + rng.sample(range(140, 160), rng.randint(0, 5))
+            for d in ids[len(cycle) + len(tails) :]:  # reached from the cycle
+                edges.add((rng.choice(cycle), d))
+        elif kind == 2:
+            ids = sorted(rng.sample(range(60), rng.randint(4, 20)))
+            a, b = sorted(rng.sample(ids[:-1], 2))
+            loop = rng.choice([n for n in ids if n > b])
+            edges = {(a, b), (b, a), (loop, loop)}
+            for _ in range(len(ids)):
+                x, y = sorted(rng.sample(ids, 2))
+                edges.add((x, y))
+        else:
+            ids = sorted(rng.sample(range(300), rng.randint(60, 120)))
+            p = rng.uniform(0.2, 0.6)
+            edges = {(x, y) for j, x in enumerate(ids) for y in ids[j + 1 :] if rng.random() < p}
+            closed = i % 8 == 3
+            if closed:
+                edges = closure_reference(ids, edges)
+            downs = rng.randint(1, 3)
+            while downs:  # down along a random walk up of two or more steps
+                walk = [rng.choice(ids)]
+                for _ in range(rng.randint(2, 8)):
+                    up = [b for a, b in edges if a == walk[-1]]
+                    if up:
+                        walk.append(rng.choice(up))
+                if len(walk) > 2:
+                    edges.add((walk[-1], walk[0]))
+                    if not closed:
+                        edges.discard((walk[0], walk[-1]))
+                    downs -= 1
+        yield sorted(ids), edges
+
+
 def adjacency(nodes, edges):
     """Successor lists in descending order: results may not depend on it."""
     adj = RelationGraph.of(nodes, edges).adjacency()
@@ -138,18 +211,91 @@ def test_order_is_ascending_kahn_or_all_starts_cycle():
     cyclic = 0
     for seed in (2, 3):
         for nodes, edges in random_digraphs(seed):
-            topo = topo_reference(nodes, edges)
-            cycle = find_cycle_reference(nodes, edges)
-            assert graph.order(adjacency(nodes, edges)) == (
-                None if topo is None else tuple(topo),
-                None if cycle is None else tuple(cycle),
-            )
+            topo, cycle = assert_order_matches_references(nodes, edges)
             assert (topo is None) == (cycle is not None)
             assert (cycle is None) == all(
                 (n, n) not in closure_reference(nodes, edges) for n in nodes
             )
             cyclic += cycle is not None
     assert 40 < cyclic < 260  # both sides are exercised
+
+
+def assert_order_matches_references(nodes, edges, adj=None):
+    topo = topo_reference(nodes, edges)
+    cycle = find_cycle_reference(nodes, edges)
+    got = graph.order(adjacency(nodes, edges) if adj is None else adj)
+    assert got == (
+        None if topo is None else tuple(topo),
+        None if cycle is None else tuple(cycle),
+    )
+    return got
+
+
+def test_order_confined_to_components_matches_all_starts_search():
+    """The cycle search starts only on cyclic components and stays inside
+    them, yet finds the cycle of the search from every leftover node."""
+    lengths = {kind: set() for kind in range(4)}
+    for seed in (6, 7):
+        for i, (nodes, edges) in enumerate(confined_digraphs(seed)):
+            cycle = assert_order_matches_references(nodes, edges)[1]
+            assert cycle is not None
+            lengths[i % 4].add(len(cycle) - 1)
+            if i % 4 == 2:  # the self-loop wins over the lower 2-cycle
+                assert cycle[0] == cycle[1]
+    assert lengths[2] == {1}
+    assert len(lengths[0]) > 2 and len(lengths[1]) > 2 and len(lengths[3]) > 1
+
+
+def network_chart(rng, kind, n_events, procs):
+    """A random execution of the canonical `kind` network as a chart:
+    each step receives a random queue head or sends a fresh message."""
+    net = network.network_for(kind, procs)
+    queues = {qid: [] for qid in net.queue_ids}
+    actions = []
+    for i in range(n_events):
+        ready = [qid for qid in net.queue_ids if queues[qid]]
+        if ready and rng.random() < 0.5:
+            actions.append(recv(*queues[rng.choice(ready)].pop(0)))
+        else:
+            p, q = rng.sample(procs, 2)
+            queues[net.queue_of(p, q)].append((p, q, f"m{i}"))
+            actions.append(send(p, q, f"m{i}"))
+    return network.execution_to_msc(actions, kind, procs)
+
+
+def test_order_matches_references_at_workload_scale(monkeypatch):
+    """Every graph.order call that classify and exists_k_bounded make on
+    charts of 60-120 events gives the references' answer."""
+    calls = []
+    real = graph.order
+
+    def recording(adj):
+        nodes = sorted(adj)
+        edges = {(a, b) for a in adj for b in adj[a]}
+        result = real(adj)
+        calls.append((nodes, edges, result))
+        return result
+
+    monkeypatch.setattr(graph, "order", recording)
+    rng = random.Random(8)
+    kinds = (None,) + network.KINDS  # None: a bag chart
+    for i in range(20):
+        procs = ("p", "q", "r", "s")[: 2 + i % 3]
+        kind = kinds[i % len(kinds)]
+        if kind is None:
+            chart = random_msc(rng, max_events=120, procs=procs, min_events=60)
+        else:
+            chart = network_chart(rng, kind, rng.randint(60, 120), procs)
+        report = classify(chart)
+        for model in ("asy", "p2p") if report.verdicts["p2p"] else ("asy",):
+            for k in (1, 2):
+                exists_k_bounded(chart, k, model)
+    monkeypatch.undo()
+    cyclic = 0
+    for nodes, edges, result in calls:
+        assert result == assert_order_matches_references(nodes, edges)
+        cyclic += result[1] is not None
+    assert 0 < cyclic < len(calls)
 
 
 def test_sccs_are_mutual_reachability_classes():
