@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
@@ -341,9 +342,11 @@ class _Plan:
 
 
 # Plans by (formula, closure mode).  Formulas are frozen dataclasses,
-# equal by value, and `builtin` and `parse_formula` build equal values on
-# every call, so a formula checked on many charts is compiled once.  The
-# oldest plan goes when the cache is full.
+# equal by value, so a formula checked on many charts is compiled once.
+# `builtin` and `parse_formula` hand out one object per model and per
+# text, so a repeated lookup finds its key by identity instead of
+# comparing the trees node by node.  The oldest plan goes when the cache
+# is full.
 _PLAN_LIMIT = 64
 _PLANS: dict[tuple[Formula, str], _Plan] = {}
 
@@ -976,8 +979,14 @@ def builtin(model: str, delegated: bool = False) -> Formula:
 
     With ``delegated=True`` the auxiliary orderings appear as named
     atoms computed by the relations module; by default they are spelled
-    out as defined sub-formulas, mirroring their definitions.
+    out as defined sub-formulas, mirroring their definitions.  Each
+    ``(model, delegated)`` pair gives one shared formula object.
     """
+    return _shared_builtin(model, bool(delegated))
+
+
+@lru_cache(maxsize=None)
+def _shared_builtin(model: str, delegated: bool) -> Formula:
     return _builtin(_Fresh(), model, delegated)
 
 
@@ -1447,5 +1456,16 @@ class _Parser:
 
 def parse_formula(text: str) -> Formula:
     """Parse the ASCII surface syntax into an AST; raises
-    :class:`MsoSyntaxError` with the offending position."""
-    return _Parser(text).parse()
+    :class:`MsoSyntaxError` with the offending position.  A text parsed
+    again while memoised gives the same formula object."""
+    formula = _PARSED.get(text)
+    if formula is None:
+        formula = _Parser(text).parse()
+        if len(_PARSED) >= _PLAN_LIMIT:
+            del _PARSED[next(iter(_PARSED))]
+        _PARSED[text] = formula
+    return formula
+
+
+# Formulas by source text, as many as plans and dropped oldest first.
+_PARSED: dict[str, Formula] = {}

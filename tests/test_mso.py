@@ -810,13 +810,16 @@ def plan_of(formula, closure_mode="native"):
 
 
 def test_equal_formulas_share_one_plan():
-    evaluate(example("overtake"), builtin("nn"))
-    plan, size = plan_of(builtin("nn")), len(mso._PLANS)
-    assert builtin("nn") is not builtin("nn")
-    evaluate(example("mailbox_cross"), builtin("nn"))
-    assert parse_formula("phi_nn") == builtin("nn")
+    # two equal but distinct trees: `builtin` itself now hands out one object
+    first, second = (mso._builtin(mso._Fresh(), "nn") for _ in range(2))
+    evaluate(example("overtake"), first)
+    plan, size = plan_of(first), len(mso._PLANS)
+    assert first is not second
+    evaluate(example("mailbox_cross"), second)
+    assert parse_formula("phi_nn") == builtin("nn") == first
     evaluate(example("relay"), parse_formula("phi_nn"))
-    assert plan_of(builtin("nn")) is plan and plan_of(parse_formula("phi_nn")) is plan
+    assert plan_of(second) is plan and plan_of(parse_formula("phi_nn")) is plan
+    assert plan_of(builtin("nn")) is plan
     assert len(mso._PLANS) == size
     # the closure mode is part of the key
     evaluate(example("relay"), builtin("nn"), closure_mode="subset")
@@ -831,6 +834,32 @@ def test_plan_cache_is_bounded():
         assert len(mso._PLANS) <= mso._PLAN_LIMIT
     assert len(mso._PLANS) == mso._PLAN_LIMIT
     assert all((parse_formula(t), "native") in mso._PLANS for t in texts[10:])
+
+
+def test_builtins_and_texts_give_one_object():
+    for model in MODELS:
+        for delegated in (False, True):
+            assert builtin(model, delegated) is builtin(model, delegated)
+    assert builtin("nn") is builtin("nn", delegated=False)
+    text = "~E x. (send(x) & ~matched(x))"
+    assert parse_formula(text) is parse_formula(text)
+    with pytest.raises(ValueError):
+        builtin("nope")
+    for _ in range(2):
+        with pytest.raises(MsoSyntaxError):
+            parse_formula("E x.")
+    assert "E x." not in mso._PARSED
+
+
+def test_parse_memo_is_bounded():
+    texts = [f"E v{i}. send(v{i})" for i in range(mso._PLAN_LIMIT + 10)]
+    for text in texts:
+        parse_formula(text)
+        assert len(mso._PARSED) <= mso._PLAN_LIMIT
+    assert len(mso._PARSED) == mso._PLAN_LIMIT
+    assert all(t in mso._PARSED for t in texts[10:])
+    assert texts[0] not in mso._PARSED
+    assert parse_formula(texts[0]) == mso._Parser(texts[0]).parse()
 
 
 def test_plan_answers_after_an_error_mid_run():

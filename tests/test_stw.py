@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from conftest import channel_chain, random_msc
+from msckit import graph, stw
 from msckit.core import EMPTY_MSC, prefix, hb_prefixes, validate
 from msckit.corpus import EXAMPLES, example
 from msckit.stw import GameSizeError, _Solver, special_treewidth, strategy_transcript, stw_at_most
@@ -166,8 +167,8 @@ def test_solver_matches_literal_reference():
 def check_plan(msc, k):
     """Replay the solver's winning plan at width k move by move on explicit
     edge sets, independently of the solver's masks; return the moves seen."""
-    solver = _Solver(msc, k)
-    assert solver.wins()
+    solver = _Solver(msc)
+    assert solver.wins(k)
     rank = {e: i for i, e in enumerate(solver.events)}
 
     def ids(mask):
@@ -201,7 +202,7 @@ def check_plan(msc, k):
 
     edges = chart_edges(msc)
     roots = components(frozenset(msc.events), edges)
-    assert [ids(c) for c in solver.components(solver.all, 0)] == roots
+    assert [ids(c) for c in solver.roots] == roots
     for c in roots:
         replay(c, frozenset(e for e in edges if e <= c), frozenset())
     return moves
@@ -222,6 +223,58 @@ def test_plan_replays_on_seeded_charts():
         for k in range(width, width + 2):
             moves += check_plan(m, k)
     assert moves > 100
+
+
+def first_move_reference(solver, nodes, marked, key):
+    """The solver's search before its two shortcuts, kept as the
+    reference: a move needs only one chosen event to remove an edge, and
+    every move is split in full.  Same move order, same plans."""
+    free = solver.budget - marked.bit_count()
+    unmarked = graph.bits_of(nodes & ~marked)
+    if len(unmarked) <= free:
+        solver.plan[key] = (nodes, ())
+        return True
+    adj = solver.adj
+    for extra in range(1, free + 1):
+        for chosen in combinations(unmarked, extra):
+            new_marked = marked
+            for v in chosen:
+                new_marked |= 1 << v
+            held = nodes & new_marked
+            if not any(adj[v] & held for v in chosen):
+                continue
+            comps = solver.components(nodes, new_marked)
+            if len(comps) < 2:
+                continue
+            parts = tuple((c, new_marked & c) for c in comps)
+            if all(solver.win(*part) for part in parts):
+                solver.plan[key] = (new_marked, parts)
+                return True
+    return False
+
+
+class FirstMoveReference(_Solver):
+    _search = first_move_reference
+
+
+def test_search_matches_first_move_reference(monkeypatch):
+    """Skipping dominated moves and unsplittable fills changes no width and
+    no transcript: the first winning move is the same in every position."""
+    charts = seeded_charts(45, 300, 8, 16)
+
+    def outputs():
+        return [
+            (special_treewidth(m, 4), [strategy_transcript(m, k) for k in range(5)])
+            for m in charts
+        ]
+
+    fast = outputs()
+    with monkeypatch.context() as patch:
+        patch.setattr(stw, "_Solver", FirstMoveReference)
+        reference = outputs()
+    for m, got, want in zip(charts, fast, reference):
+        assert got == want, m.canonical()
+    assert {w for w, _ in fast} >= {2, 3, 4}
 
 
 def test_hb_prefixes_never_wider():
