@@ -269,9 +269,8 @@ def test_search_matches_first_move_reference(monkeypatch):
         ]
 
     fast = outputs()
-    with monkeypatch.context() as patch:
-        patch.setattr(stw, "_Solver", FirstMoveReference)
-        reference = outputs()
+    monkeypatch.setattr(stw, "_Solver", FirstMoveReference)
+    reference = outputs()
     for m, got, want in zip(charts, fast, reference):
         assert got == want, m.canonical()
     assert {w for w, _ in fast} >= {2, 3, 4}
