@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
-from . import relations
+from . import graph, relations
 from .core import (
     Linearization,
     Msc,
@@ -180,13 +180,48 @@ def is_rsc(msc: Msc) -> tuple[bool, tuple[int, ...] | None]:
     return (True, None)
 
 
+# -- global FIFO ---------------------------------------------------------------
+
+
+def is_nn(msc: Msc) -> tuple[bool, tuple[int, ...] | None]:
+    """Global FIFO, decided in three steps, each run only when the ones
+    before give no answer:
+
+    1. the MSC is in mb and in onen, and the least fixpoint of the ⋈
+       rules (:func:`relations.nn_saturated`) is acyclic: a member.  ⋈
+       lies inside the fixpoint, so it is acyclic too;
+    2. an event lies on a cycle of the mb and 1-n scheduling relations
+       joined: not a member, and ``(s, s)`` for the least such event
+       ``s`` is the witness.  ⋈ holds the closure of that union and adds
+       no self pair, so these are exactly its self-loops, and ``(s, s)``
+       the cycle :attr:`RelationGraph.order` finds on it.  A chart
+       outside mb or onen always ends here;
+    3. otherwise ⋈ itself (:func:`relations.nn_bowtie`) decides, its
+       minimal cycle the witness.  ⋈ can be acyclic while its fixpoint is
+       not; the verdict is then member, and :func:`nn_linearize` raises
+       :class:`NnAlgorithmError` on the chart.
+    """
+    require_valid(msc)
+    if membership(msc, "mb")[0] and membership(msc, "onen")[0]:
+        if relations.nn_saturated(msc) is not None:
+            return (True, None)
+    union = (relations.scheduling(msc, "mb") | relations.scheduling(msc, "onen")).adjacency()
+    loops = [c[0] for c in graph.sccs(union) if len(c) > 1 or c[0] in union[c[0]]]
+    if loops:
+        s = min(loops)
+        return (False, (s, s))
+    cycle = relations.nn_bowtie(msc).order[1]
+    return (cycle is None, cycle)
+
+
 # -- linearization construction -------------------------------------------------
 
 
 class NnAlgorithmError(MscError):
     """The global-FIFO linearizer found no admissible event.  It runs on
-    the saturated dependency relation, which is acyclic exactly for nn
-    members, so this is raised for non-members only."""
+    the least fixpoint of the ⋈ rules, so it is raised on the charts
+    that :func:`is_nn` calls members by their acyclic ⋈ alone (step 3)
+    while that fixpoint is cyclic, and on non-members."""
 
 
 def nn_linearize(msc: Msc) -> Linearization:
@@ -354,15 +389,24 @@ def check_linearization(msc: Msc, lin: Linearization | Sequence[int], model: str
 # -- membership dispatch and the brute-force oracle ----------------------------
 
 
-_CLAUSE_DECIDERS = {"asy": lambda msc: (True, None), "p2p": is_p2p, "co": is_co, "rsc": is_rsc}
+_CLAUSE_DECIDERS = {
+    "asy": lambda msc: (True, None),
+    "p2p": is_p2p,
+    "co": is_co,
+    "nn": is_nn,
+    "rsc": is_rsc,
+}
 
 
 @relations.per_chart
 def membership(msc: Msc, model: str) -> tuple[bool, tuple[int, ...] | None]:
     """Relational membership verdict plus a negative witness, memoised on
-    the MSC.  ``mb``, ``onen`` and ``nn`` hold iff the model's scheduling
-    relation is acyclic, and a minimal cycle is the witness; the other
-    models are decided on their clauses."""
+    the MSC.  ``mb`` and ``onen`` hold iff the model's scheduling
+    relation is acyclic, and a minimal cycle is the witness.  ``nn`` is
+    decided by :func:`is_nn`: the mb and onen verdicts with the ⋈
+    fixpoint, then the cycles of the joined mb and 1-n relations, then ⋈
+    itself.  The other models are
+    decided on their clauses."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     if model in _CLAUSE_DECIDERS:

@@ -9,14 +9,16 @@ relations over events:
   receive order (and a matched send beats an unmatched one);
 * ``onen_rel``   a sender's outgoing messages must be received in send
   order (and its matched sends beat its unmatched ones);
-* ``nn_bowtie``  the event dependency relation whose acyclicity
-  characterises global-FIFO schedulability: the closed 1-n and mailbox
-  orderings plus one round of the ⋈ rules, not closed again.  Its
-  edges are the ones membership witnesses and MSO's ``bowtie`` name;
+* ``nn_bowtie``  the event dependency relation of global FIFO: the
+  closed 1-n and mailbox orderings plus one round of the ⋈ rules, not
+  closed again.  Its edges are the ones nn cycle witnesses and MSO's
+  ``bowtie`` name;
 * ``nn_saturated``  the least fixpoint of ⋈: the same rounds repeated
-  until nothing changes.  It has a cycle exactly when ``nn_bowtie``
-  has one, and the global-FIFO linearizer runs on it.  Both come from
-  one routine on bitset rows, :func:`_bowtie`;
+  until nothing changes.  It contains ``nn_bowtie``, so it is cyclic
+  whenever ``nn_bowtie`` is, but it can be cyclic when ``nn_bowtie`` is
+  not.  nn membership is tried on it first, and the global-FIFO
+  linearizer runs on it.  Both come from one routine on bitset rows,
+  :func:`_bowtie`;
 * ``relb`` / ``relb_asy``  the "receive i before send i+k" constraints
   of k-bounded channels, in the FIFO and the general form.
   ``relb_asy`` is decided by counting, in O(s^2) per channel of s
@@ -225,8 +227,8 @@ def _bowtie(msc: Msc, saturate: bool) -> tuple[tuple[int, ...], dict[int, int]] 
 def nn_bowtie(msc: Msc) -> RelationGraph:
     """The event dependency relation for the global-FIFO model: the
     closed mb and 1-n scheduling relations plus one round of the ⋈ rules
-    (:func:`_bowtie`), not closed again; acyclicity is what matters.
-    Its predecessor rows are inverted straight into successor lists."""
+    (:func:`_bowtie`), not closed again.  Its predecessor rows are
+    inverted straight into successor lists."""
     bits, rows = _bowtie(msc, saturate=False)
     succ: dict[int, list[int]] = {e: [] for e in bits}
     for i, row in rows.items():
@@ -235,11 +237,12 @@ def nn_bowtie(msc: Msc) -> RelationGraph:
     return RelationGraph(succ)
 
 
+@per_chart
 def nn_saturated(msc: Msc) -> tuple[tuple[int, ...], dict[int, int]] | None:
     """The least fixpoint of the ⋈ rules (:func:`_bowtie`), or None once
     it turns cyclic.  It contains :func:`nn_bowtie`, and every rule holds
     in every global-FIFO linearization, so it is acyclic exactly when
-    the MSC is in nn."""
+    the MSC is in nn.  It can be cyclic while :func:`nn_bowtie` is not."""
     return _bowtie(msc, saturate=True)
 
 

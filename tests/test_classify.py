@@ -3,7 +3,7 @@ from itertools import islice
 
 import pytest
 
-from conftest import random_msc
+from conftest import NN_GAP_CHARTS, network_chart, random_msc
 from msckit import graph, relations
 from msckit.classify import (
     MODELS,
@@ -303,6 +303,34 @@ def test_seeded_differential_against_oracle():
             assert cycle[0] == cycle[-1]
             assert set(zip(cycle, cycle[1:])) <= nn_bowtie(m).edges
     assert min(members.values()) > 20
+
+
+def test_is_nn_matches_bowtie_order(monkeypatch):
+    # membership(m, "nn") gives what ⋈'s order gives, and builds ⋈ only
+    # for the fixpoint non-members whose mb and 1-n relations joined are
+    # acyclic
+    from msckit.io import parse_msc
+
+    real = relations.nn_bowtie
+    built = []
+    monkeypatch.setattr(relations, "nn_bowtie", lambda m: built.append(m) or real(m))
+    rng = random.Random(1)
+    charts = [
+        network_chart(rng, ("mb", "onen", "p2p")[i % 3], rng.randint(40, 60), ("p", "q", "r"))
+        for i in range(300)
+    ]
+    charts += [parse_msc(text) for text in NN_GAP_CHARTS.values()]
+    fallbacks = 0
+    for m in charts:
+        built.clear()
+        got = membership(m, "nn")
+        cycle = real(m).order[1]
+        assert got == (cycle is None, cycle)
+        union = relations.scheduling(m, "mb") | relations.scheduling(m, "onen")
+        fallback = union.order[1] is None and relations.nn_saturated(m) is None
+        assert len(built) == fallback
+        fallbacks += fallback and cycle is not None
+    assert fallbacks >= 5
 
 
 def test_classify_empty_all_models():

@@ -8,11 +8,11 @@ import random
 
 import pytest
 
-from conftest import random_msc
+from conftest import network_chart, random_msc
 from msckit import graph, network, relations
 from msckit.bounded import exists_k_bounded
 from msckit.classify import classify
-from msckit.core import RelationGraph, recv, send
+from msckit.core import RelationGraph
 
 
 def closure_reference(nodes, edges, reflexive=False):
@@ -244,23 +244,6 @@ def test_order_confined_to_components_matches_all_starts_search():
                 assert cycle[0] == cycle[1]
     assert lengths[2] == {1}
     assert len(lengths[0]) > 2 and len(lengths[1]) > 2 and len(lengths[3]) > 1
-
-
-def network_chart(rng, kind, n_events, procs):
-    """A random execution of the canonical `kind` network as a chart:
-    each step receives a random queue head or sends a fresh message."""
-    net = network.network_for(kind, procs)
-    queues = {qid: [] for qid in net.queue_ids}
-    actions = []
-    for i in range(n_events):
-        ready = [qid for qid in net.queue_ids if queues[qid]]
-        if ready and rng.random() < 0.5:
-            actions.append(recv(*queues[rng.choice(ready)].pop(0)))
-        else:
-            p, q = rng.sample(procs, 2)
-            queues[net.queue_of(p, q)].append((p, q, f"m{i}"))
-            actions.append(send(p, q, f"m{i}"))
-    return network.execution_to_msc(actions, kind, procs)
 
 
 def test_order_matches_references_at_workload_scale(monkeypatch):

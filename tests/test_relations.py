@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import random_msc
+from conftest import NN_GAP_CHARTS, random_msc
 from msckit import relations
 from msckit.core import Msc, MscError, RelationGraph, happens_before, send, recv
 from msckit.corpus import EXAMPLES, example
@@ -291,6 +291,20 @@ def test_saturation_adds_the_missing_send_edge():
     missing = (names["m2"], names["m1"])
     assert missing not in relations.transitive_closure(relations.nn_bowtie(m)).edges
     assert missing in saturated_edges(m)
+
+
+@pytest.mark.parametrize("name", sorted(NN_GAP_CHARTS))
+def test_bowtie_acyclic_where_its_fixpoint_is_not(name):
+    # ⋈ acyclic does not make a chart global FIFO; its fixpoint decides
+    from msckit.classify import oracle_membership
+    from msckit.io import parse_msc
+
+    m = parse_msc(NN_GAP_CHARTS[name])
+    assert relations.nn_bowtie(m).order[1] is None
+    assert relations.nn_saturated(m) is None
+    limit = len(m.events)
+    verdicts = {model: oracle_membership(m, model, limit) for model in ("mb", "onen", "nn")}
+    assert verdicts == {"mb": True, "onen": True, "nn": False}
 
 
 def test_hb_contained_in_partials():
