@@ -93,9 +93,9 @@ def _window_failure(msc: Msc, k: int, model: str, universal: bool) -> dict | Non
         if relations.SCHEDULING[model] == "hb_generators":
             implied = msc.hb_reach  # happens-before: no second closure
         else:
-            implied = relations.scheduling_closure(msc, model).adjacency()
+            implied = graph.reach_bits(relations.scheduling(msc, model).adjacency())
         for r, s in sorted(_window(msc, k, model).edges):
-            if s not in implied[r]:
+            if not implied[r] >> s & 1:
                 return {"kind": "unforced-window", "receive": r, "send": s}
     cycle = _window_cycle(msc, k, model)
     return None if cycle is None else {"kind": "cycle", "events": list(cycle)}
@@ -186,14 +186,9 @@ def is_exchange(msc: Msc) -> bool:
 
 
 def _units(msc: Msc) -> list[tuple[int, ...]]:
-    """Messages as (send, receive) pairs, unmatched sends as singletons."""
-    units = []
-    for s in sorted(msc.send_events):
-        if s in msc.matching:
-            units.append((s, msc.matching[s]))
-        else:
-            units.append((s,))
-    return units
+    """Messages as (send, receive) pairs, unmatched sends as singletons,
+    in ascending send id."""
+    return [(s, msc.matching[s]) if s in msc.matching else (s,) for s in msc.send_events]
 
 
 def _unit_graph(msc: Msc) -> tuple[list[tuple[int, ...]], dict[int, set[int]], set[tuple[int, int]]]:
@@ -201,19 +196,20 @@ def _unit_graph(msc: Msc) -> tuple[list[tuple[int, ...]], dict[int, set[int]], s
     before some event of v (v cannot be in an earlier factor), strict
     edges when u's receive happens before v's send (v must be strictly
     later).  A unit's send happens before everything the unit's events
-    do, so both edge sets are read off happens-before rows: the units
-    of the events the send reaches, and the units whose send the
-    receive reaches."""
+    do, and reaches its own last event, so both edge sets are read off
+    happens-before rows: the units whose last event the send reaches,
+    and the units whose send the receive reaches."""
     units = _units(msc)
     unit_of = {e: i for i, u in enumerate(units) for e in u}
-    send_unit = {u[0]: i for i, u in enumerate(units)}
+    lasts = sum(1 << u[-1] for u in units)
+    sends = sum(1 << u[0] for u in units)
     weak: dict[int, set[int]] = {}
     strict: set[tuple[int, int]] = set()
     for i, u in enumerate(units):
-        weak[i] = {unit_of[f] for f in msc.hb_reach[u[0]]}
+        weak[i] = {unit_of[f] for f in graph.bits_of(msc.hb_reach[u[0]] & lasts)}
         weak[i].discard(i)
         if len(u) == 2:
-            strict.update((i, send_unit[f]) for f in msc.hb_reach[u[1]] if f in send_unit)
+            strict.update((i, unit_of[f]) for f in graph.bits_of(msc.hb_reach[u[1]] & sends))
     return units, weak, strict
 
 

@@ -152,7 +152,7 @@ def is_co(msc: Msc) -> tuple[bool, tuple[int, int] | None]:
         for s1 in sends:
             later = msc.hb_reach[s1]
             for s2 in sends:
-                if rank[s2] < rank[s1] and s2 in later:
+                if rank[s2] < rank[s1] and later >> s2 & 1:
                     return (False, (s1, s2))
     return (True, None)
 
@@ -337,11 +337,13 @@ def check_linearization(msc: Msc, lin: Linearization | Sequence[int], model: str
     (``co``, ``mb``), sender (``onen``) or not at all (``nn``), and
     want, for two sends of a group ordered one before the other, the
     later unmatched or both received in that order.  ``co`` orders sends
-    by happens-before and tests every such pair.  The rest order them by
-    the linearization, so one sweep over each group in order decides the
-    clause: a matched send fails if an unmatched send of its group came
-    before it, or if its receive comes before the latest receive of the
-    group's earlier sends.
+    by happens-before: one sweep over the sends in the order of their
+    receives, unmatched sends last, decides it, a send failing if it
+    happens before a matched send of its group that the sweep has
+    passed.  The rest order them by the linearization, so one sweep over
+    each group in order decides the clause: a matched send fails if an
+    unmatched send of its group came before it, or if its receive comes
+    before the latest receive of the group's earlier sends.
     """
     require_valid(msc)
     order = lin.order if isinstance(lin, Linearization) else tuple(lin)
@@ -359,18 +361,16 @@ def check_linearization(msc: Msc, lin: Linearization | Sequence[int], model: str
     if model not in _CLAUSE_KEYS:
         raise ValueError(f"unknown model {model!r}")
     key = _CLAUSE_KEYS[model]
+    match = msc.matching
     if model == "co":
-        groups: dict[object, list[int]] = {}
-        for s in msc.send_events:
-            groups.setdefault(key(msc.labels[s]), []).append(s)
-        return all(
-            s2 not in msc.matching
-            or (s1 in msc.matching and pos[msc.matching[s1]] < pos[msc.matching[s2]])
-            for group in groups.values()
-            for s1 in group
-            for s2 in group
-            if s1 != s2 and msc.hb_strict(s1, s2)
-        )
+        passed: dict[object, int] = {}  # per group, the matched sends passed
+        for s in sorted(msc.send_events, key=lambda s: pos.get(match.get(s), len(order))):
+            k = key(msc.labels[s])
+            if msc.hb_reach[s] & passed.get(k, 0):
+                return False
+            if s in match:
+                passed[k] = passed.get(k, 0) | 1 << s
+        return True
     # per group, the latest receive position so far; past the end once
     # an unmatched send has come
     latest: dict[object, int] = {}

@@ -291,17 +291,22 @@ class Msc:
         )
 
     @_view
-    def hb_reach(self) -> dict[int, frozenset[int]]:
-        """For each event, the set of events reachable through -> and <|
-        (reflexive)."""
-        return graph.reach(self.hb_generators.adjacency(), reflexive=True)
+    def hb_reach(self) -> dict[int, int]:
+        """For each event, the events reachable through -> and <|
+        (reflexive), as a bitset: bit n stands for event n.  Accumulated
+        in reverse topological order, which validation has already
+        found; raises :class:`InvalidMscError` when there is none."""
+        topo = self.hb_generators.order[0]
+        if topo is None:
+            raise InvalidMscError("happens-before is not a partial order")
+        return graph.reach_bits(self.hb_generators.adjacency(), True, ((e,) for e in reversed(topo)))
 
     def hb(self, a: int, b: int) -> bool:
         """a <= b in the happens-before partial order (reflexive)."""
-        return b in self.hb_reach[a]
+        return self.hb_reach[a] >> b & 1 == 1
 
     def hb_strict(self, a: int, b: int) -> bool:
-        return a != b and b in self.hb_reach[a]
+        return a != b and self.hb_reach[a] >> b & 1 == 1
 
     # -- structural equality / isomorphism ------------------------------
 
@@ -426,7 +431,7 @@ def require_valid(msc: Msc) -> None:
 def happens_before(msc: Msc) -> RelationGraph:
     """The reflexive-transitive closure of process succession and matching."""
     require_valid(msc)
-    return RelationGraph(msc.hb_reach)
+    return RelationGraph({e: graph.bits_of(row) for e, row in msc.hb_reach.items()})
 
 
 def enumerate_linearizations(

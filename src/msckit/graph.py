@@ -10,7 +10,7 @@ result is deterministic.
 from __future__ import annotations
 
 import heapq
-from typing import Collection, Mapping
+from typing import Collection, Iterable, Mapping
 
 Adjacency = Mapping[int, Collection[int]]
 
@@ -59,45 +59,27 @@ def sccs(adj: Adjacency) -> list[list[int]]:
     return out
 
 
-def reach(adj: Adjacency, reflexive: bool = False) -> dict[int, frozenset[int]]:
-    """For every node, the nodes reachable along one or more edges; with
-    `reflexive`, the node itself too.  In the strict form a node reaches
-    itself only when it lies on a cycle (a self-loop included).
+def reach_bits(
+    adj: Adjacency, reflexive: bool = False, comps: Iterable[Collection[int]] | None = None
+) -> dict[int, int]:
+    """For every node, the nodes reachable along one or more edges, as a
+    bitset (bit n for node n); with `reflexive`, the node itself too.  In
+    the strict form a node reaches itself only when it lies on a cycle.
 
-    Accumulated over the components of :func:`sccs`, each after all the
-    components it reaches, so cyclic digraphs need no special case."""
-    out: dict[int, frozenset[int]] = {}
-    for comp in sccs(adj):
-        members = frozenset(comp)
-        acc: set[int] = set()
-        cyclic = False
-        for v in comp:
-            for w in adj[v]:
-                if w in members:
-                    cyclic = True
-                else:
-                    acc.add(w)
-                    acc |= out[w]
-        if cyclic or reflexive:
-            acc |= members
-        closed = frozenset(acc)
-        for v in comp:
-            out[v] = closed
-    return out
-
-
-def reach_bits(adj: Adjacency) -> dict[int, int]:
-    """:func:`reach` as bitsets (bit n for node n): for every node, the
-    nodes reachable along one or more edges.  Accumulated over the
-    components of :func:`sccs` in the same way, so each edge costs one
-    integer OR.  Every member of a cyclic component is the target of an
-    edge inside it, so a node on a cycle reaches itself."""
+    Accumulated over the strongly connected components, each after all
+    the components it reaches (those of :func:`sccs`, or `comps` when
+    the caller has them, such as one node each in reverse topological
+    order), so each edge costs one integer OR.  Every member of a cyclic
+    component is the target of an edge inside it, so cycles need no
+    special case."""
     rows: dict[int, int] = {}
-    for comp in sccs(adj):
+    for comp in sccs(adj) if comps is None else comps:
         acc = 0
         for v in comp:
             for w in adj[v]:
                 acc |= rows.get(w, 0) | 1 << w  # no row yet: w is in comp
+            if reflexive:
+                acc |= 1 << v
         for v in comp:
             rows[v] = acc
     return rows

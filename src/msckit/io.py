@@ -226,6 +226,9 @@ def msc_from_json(data: dict) -> Msc:
     processes = list(data.get("processes", []))
     messages = {}
     for m in data.get("messages", []):
+        for key in ("name", "from", "to", "payload"):
+            if not isinstance(m.get(key, ""), str):
+                raise ParseError(f"message field {key!r} is not a string: {m[key]!r}")
         messages[m["name"]] = {
             "from": m["from"],
             "to": m["to"],
@@ -259,6 +262,8 @@ def parse_trace(text: str) -> list[Action]:
         if len(parts) != 4 or parts[0] not in "!?":
             raise ParseError("trace lines look like: ! p q m", lineno)
         mark, p, q, m = parts
+        if p == q:
+            raise ParseError(f"self-send on {p}", lineno)
         actions.append(send(p, q, m) if mark == "!" else recv(p, q, m))
     return actions
 

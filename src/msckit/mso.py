@@ -42,7 +42,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
-from . import graph, relations
+from . import relations
 from .core import Action, Msc, MscError, RelationGraph, recv, require_valid, send
 
 DEFAULT_SO_LIMIT = 12
@@ -728,8 +728,8 @@ class _Compiler:
 
             def closed(ctx: _Binding, env: dict) -> RelationGraph:
                 succ = inner.index(ctx, env).adjacency()
-                adj = {e: succ.get(e, ()) for e in ctx.events}
-                return RelationGraph(graph.reach(adj, reflexive=reflexive))
+                padded = RelationGraph({e: succ.get(e, ()) for e in ctx.events})
+                return relations.transitive_closure(padded, reflexive)
 
             return self._materialised(fv, closed)
         raise TypeError(f"unknown relation node {r!r}")
@@ -1205,6 +1205,7 @@ _PRED_ALIASES = {
     "bothsends": "both_sends",
     "bothrecvs": "both_receives",
 }
+_INFIX_RELS = {"arrow": SUCC, "arrowplus": SUCC_PLUS, "arrowstar": SUCC_STAR, "le": HB, "lt": HB_STRICT}
 _BUILTIN_NAMES = {
     "phi_asy": "asy",
     "phi_pp": "p2p",
@@ -1259,6 +1260,15 @@ class _Parser:
         if tok.kind != kind:
             raise MsoSyntaxError(f"expected {kind}, found {tok.text!r}", tok.pos)
         return tok
+
+    def var(self, second_order: bool = False) -> str:
+        """A variable of the given sort: set variables start with an
+        uppercase letter, first-order ones do not."""
+        tok = self.expect("name")
+        if tok.text[0].isupper() != second_order:
+            sort = "a set" if second_order else "a first-order"
+            raise MsoSyntaxError(f"{tok.text!r} is not {sort} variable", tok.pos)
+        return tok.text
 
     def opens(self) -> _Token:
         """Consume a token that opens a nesting level; each parse method
@@ -1373,10 +1383,10 @@ class _Parser:
         if self.peek().kind in ("plus", "star"):
             closure = self.next().kind
         self.expect("lpar")
-        args = [self.expect("name").text]
+        args = [self.var()]
         while self.peek().kind == "comma":
             self.next()
-            args.append(self.expect("name").text)
+            args.append(self.var())
         self.expect("rpar")
 
         if name == "label":
@@ -1433,24 +1443,16 @@ class _Parser:
         return send(p, q, m) if tok.kind == "bang" else recv(p, q, m)
 
     def infix_atom(self) -> Formula:
-        left = self.expect("name").text
+        left = self.var()
         op = self.next()
-        if op.kind == "arrow":
-            return RelF(SUCC, left, self.expect("name").text)
-        if op.kind == "arrowplus":
-            return RelF(SUCC_PLUS, left, self.expect("name").text)
-        if op.kind == "arrowstar":
-            return RelF(SUCC_STAR, left, self.expect("name").text)
-        if op.kind == "le":
-            return RelF(HB, left, self.expect("name").text)
-        if op.kind == "lt":
-            return RelF(HB_STRICT, left, self.expect("name").text)
-        if op.kind == "eq":
-            return EqF(left, self.expect("name").text)
-        if op.kind == "neq":
-            return NotF(EqF(left, self.expect("name").text))
         if op.kind == "name" and op.text == "in":
-            return InF(left, self.expect("name").text)
+            return InF(left, self.var(second_order=True))
+        if op.kind in _INFIX_RELS:
+            return RelF(_INFIX_RELS[op.kind], left, self.var())
+        if op.kind == "eq":
+            return EqF(left, self.var())
+        if op.kind == "neq":
+            return NotF(EqF(left, self.var()))
         raise MsoSyntaxError(f"expected a relation after {left!r}", op.pos)
 
 

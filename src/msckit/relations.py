@@ -28,7 +28,11 @@ relations over events:
 
 Relations are successor maps (:class:`RelationGraph`), searched by
 :mod:`msckit.graph`; closures, ⋈ and the crown digraph hand over the
-rows they compute, with no edge set in between.  The send-pair
+rows they compute, with no edge set in between.  Every closure is
+computed by :func:`graph.reach_bits` as bit rows (bit n for event n):
+:func:`transitive_closure` turns them into successor lists, and
+happens-before keeps them as they are (:attr:`Msc.hb_reach`), for the
+crown digraph and the checks that test one pair.  The send-pair
 relations read one grouping of the sends (:func:`send_groups`, by
 receiver or sender) and sort each group once by rank.  Every producer
 is memoised on the MSC by :func:`per_chart` (happens-before's
@@ -69,8 +73,11 @@ def per_chart(fn: Callable) -> Callable:
 
 
 def transitive_closure(r: RelationGraph, reflexive: bool = False) -> RelationGraph:
-    """Standard transitive closure; with `reflexive`, adds all loops."""
-    return RelationGraph(graph.reach(r.adjacency(), reflexive=reflexive))
+    """Standard transitive closure; with `reflexive`, adds all loops.
+    The rows of :func:`graph.reach_bits` become ascending successor
+    lists."""
+    rows = graph.reach_bits(r.adjacency(), reflexive)
+    return RelationGraph({n: graph.bits_of(row) for n, row in rows.items()})
 
 
 def hb_generators(msc: Msc) -> RelationGraph:
@@ -255,9 +262,9 @@ def crown_digraph(msc: Msc) -> RelationGraph:
     strictly before the receive matching s2."""
     require_valid(msc)
     rm = msc.rmatching
-    return RelationGraph(
-        {s: [rm[e] for e in msc.hb_reach[s] if e in rm and rm[e] != s] for s in msc.matched_sends}
-    )
+    receives = sum(1 << r for r in rm)
+    rows = {s: graph.bits_of(msc.hb_reach[s] & receives) for s in msc.matched_sends}
+    return RelationGraph({s: [rm[r] for r in rs if rm[r] != s] for s, rs in rows.items()})
 
 
 # -- the scheduling relation of each model -----------------------------------

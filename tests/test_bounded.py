@@ -186,7 +186,7 @@ def brute_factorizable(msc, k):
     events = list(msc.events)
     if not events:
         return True
-    hb = {(a, b) for a in events for b in msc.hb_reach[a]}
+    hb = {(a, b) for a in events for b in events if msc.hb(a, b)}
 
     def is_prefix_cut(keep, remaining):
         for p in msc.processes:

@@ -240,6 +240,14 @@ MALFORMED = {
     "bad.json": "{bad",
     "list.json": "[1, 2]",
     "fields.json": '{"processes": ["p"], "messages": [{"name": "m"}]}',
+    "self_send.trace": "! p q m\n! p p m\n",
+    "null_payload.json": json.dumps(
+        {
+            "processes": ["p", "q"],
+            "messages": [{"name": "m", "from": "p", "to": "q", "payload": None}],
+            "orders": {"p": ["!m"], "q": ["?m"]},
+        }
+    ),
 }
 
 
@@ -289,6 +297,9 @@ def test_contract_on_malformed_input(capsys, tmp_path, name):
         ["mso", "--formula", "E x. E y. nosuch(x, y)", "crossing"],
         ["mso", "--formula", "x = y", "crossing"],
         ["mso", "--formula", "E X. A x. x in X", "--so-limit", "0", "crossing"],
+        ["mso", "--formula", "E x. E y. x in y", "crossing"],
+        ["mso", "--formula", "E X. send(X)", "crossing"],
+        ["mso", "--formula", "E X. E Y. X in Y", "crossing"],
         ["check-lin", "--model", "nn", "--lin", "!m1 ?m9", "crossing"],
         ["check-lin", "--model", "nn", "--lin", "!m1", "crossing"],
     ],

@@ -8,7 +8,8 @@ and without ``--universal``, ``decompose`` with and without ``--k 1``,
 ``dot --relation`` for each exported relation, ``linearize --model``
 and ``mso --builtin`` for each of the seven models, ``mso --formula``
 for the README formulas of the benchmark, a ``relb1`` atom (exit 2 on
-charts whose channels are not FIFO) and a ``bowtie+`` closure, ``mso
+charts whose channels are not FIFO), a ``bowtie+`` closure and three
+formulas with variables of the wrong sort (exit 2), ``mso
 --closure-mode subset --builtin mb``, and ``stw --max 4`` (plain,
 ``--trace`` and ``--format json --trace``) and ``stw --max 1``, which
 exits 1 on every chart of width 2 or more.
@@ -46,6 +47,10 @@ MSO_FORMULAS = (
     "phi_nn",
     "E x. E y. relb1(x, y)",
     "A x. A y. bowtie+(x, y) => ~bowtie+(y, x)",
+    # variables of the wrong sort: exit 2
+    "E x. E y. x in y",
+    "E X. send(X)",
+    "E X. E Y. X in Y",
 )
 
 

@@ -60,7 +60,7 @@ def test_validate_unmatched_receive():
     assert any(v.condition == "2b" for v in report.violations)
 
 
-def test_validate_cycle():
+def two_message_loop() -> Msc:
     # receive placed before its own send on one line is impossible; use
     # two messages closing a loop instead
     labels = {
@@ -69,10 +69,23 @@ def test_validate_cycle():
         2: send("q", "p", "b"),
         3: recv("p", "q", "a"),
     }
-    m = Msc(("p", "q"), labels, {"p": (1, 0), "q": (3, 2)}, {0: 3, 2: 1})
-    report = validate(m)
+    return Msc(("p", "q"), labels, {"p": (1, 0), "q": (3, 2)}, {0: 3, 2: 1})
+
+
+def test_validate_cycle():
+    report = validate(two_message_loop())
     assert not report.ok
     assert any(v.condition == "3" for v in report.violations)
+
+
+def test_hb_reach_raises_on_a_cycle_that_validate_reports():
+    m = two_message_loop()
+    with pytest.raises(InvalidMscError):
+        m.hb_reach
+    with pytest.raises(InvalidMscError):
+        m.hb(0, 3)
+    report = validate(m)
+    assert [(v.condition, v.events) for v in report.violations] == [("3", (0, 3, 2, 1, 0))]
 
 
 def test_validate_mismatched_labels():

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from conftest import network_chart, random_msc
-from msckit import graph, network, relations
+from msckit import core, graph, network, relations
 from msckit.bounded import exists_k_bounded
 from msckit.classify import classify
 from msckit.core import RelationGraph
@@ -187,26 +187,47 @@ def adjacency(nodes, edges):
 
 @pytest.mark.parametrize("reflexive", [False, True])
 def test_reach_and_closure_match_fixpoint(reflexive):
-    for nodes, edges in random_digraphs(1):
-        want = closure_reference(nodes, edges, reflexive)
-        reach = graph.reach(adjacency(nodes, edges), reflexive=reflexive)
-        assert {(a, b) for a, bs in reach.items() for b in bs} == want
-        closed = relations.transitive_closure(RelationGraph.of(nodes, edges), reflexive)
-        assert closed.edges == want and closed.nodes == frozenset(nodes)
-
-
-def test_reach_bits_matches_reach():
     cyclic = 0
-    for nodes, edges in random_digraphs(5):
-        adj = adjacency(nodes, edges)
-        reach = graph.reach(adj)
-        rows = graph.reach_bits(adj)
-        assert rows.keys() == reach.keys()
-        assert all(graph.bits_of(rows[n]) == sorted(reach[n]) for n in nodes)
-        cyclic += any(n in reach[n] for n in nodes)
+    for seed in (1, 5):
+        for nodes, edges in random_digraphs(seed):
+            want = closure_reference(nodes, edges, reflexive)
+            adj = adjacency(nodes, edges)
+            rows = graph.reach_bits(adj, reflexive)
+            assert rows.keys() == set(nodes)
+            assert {(a, b) for a, row in rows.items() for b in graph.bits_of(row)} == want
+            closed = relations.transitive_closure(RelationGraph.of(nodes, edges), reflexive)
+            assert closed.edges == want and closed.nodes == frozenset(nodes)
+            topo = graph.order(adj)[0]
+            if topo is not None:
+                # given components: one node each, in reverse topological order
+                assert graph.reach_bits(adj, reflexive, ((n,) for n in reversed(topo))) == rows
+            elif seed == 5:
+                cyclic += 1
     assert 20 < cyclic < 130
 
 
+def test_hb_reach_rows_match_fixpoint():
+    """Happens-before rows against the fixpoint closure of process
+    succession and matching on valid charts, among them prefixes that
+    keep sparse event ids and concatenations."""
+    rng = random.Random(25)
+    charts = [random_msc(rng, max_events=14, procs=("p", "q", "r", "s")) for _ in range(120)]
+    for kind in ("p2p", "mb", "onen", "nn"):
+        for _ in range(10):
+            charts.append(network_chart(rng, kind, rng.randint(20, 60), ("p", "q", "r")))
+    for m in charts[:40]:
+        # the happens-before down-closure of a random set of events
+        keep = {f for e in rng.sample(m.events, len(m.events) // 2) for f in m.events if m.hb(f, e)}
+        charts.append(core.prefix(m, keep))
+    charts += [core.concatenate(a, b) for a, b in zip(charts[:40], charts[40:80])]
+    sparse = 0
+    for m in charts:
+        assert core.validate(m).ok
+        want = closure_reference(m.events, m.succ_edges | m.msg_edges, reflexive=True)
+        assert {(a, b) for a, row in m.hb_reach.items() for b in graph.bits_of(row)} == want
+        assert m.hb_reach.keys() == set(m.events)
+        sparse += m.events != tuple(range(len(m.events)))
+    assert sparse > 20
 def test_order_is_ascending_kahn_or_all_starts_cycle():
     cyclic = 0
     for seed in (2, 3):

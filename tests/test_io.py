@@ -104,6 +104,22 @@ def test_trace_error():
         parse_trace("! p q\n")
 
 
+def test_trace_self_send_is_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse_trace("! p q m\n! p p m\n")
+    assert exc.value.line == 2 and "self-send" in str(exc.value)
+
+
+@pytest.mark.parametrize("key", ["name", "from", "to", "payload"])
+@pytest.mark.parametrize("value", [None, 7, ["p"]])
+def test_json_non_string_fields(key, value):
+    data = msc_to_json(example("crossing"))
+    data["messages"][0][key] = value
+    with pytest.raises(ParseError) as exc:
+        msc_from_json(data)
+    assert repr(key) in str(exc.value)
+
+
 def test_cfsm_multiline_and_inline():
     inline = parse_cfsm("machine p: state a init; trans a -> b on ! q m")
     block = parse_cfsm(

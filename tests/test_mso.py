@@ -78,6 +78,22 @@ def test_parse_quantifiers_and_sets():
     assert evaluate(example("crossing"), g)
 
 
+@pytest.mark.parametrize(
+    "text, name, pos",
+    [
+        ("E x. E y. x in y", "y", 15),  # first-order variable as a set
+        ("E X. send(X)", "X", 10),  # set variable as an event
+        ("E X. E Y. X in Y", "X", 10),  # set variable as an element
+        ("E X. A x. X < x", "X", 10),
+        ("E x. E Y. mb(x, Y)", "Y", 16),
+    ],
+)
+def test_variable_sorts_are_checked(text, name, pos):
+    with pytest.raises(MsoSyntaxError) as exc:
+        parse_formula(text)
+    assert exc.value.pos == pos and repr(name) in str(exc.value)
+
+
 def test_parse_label_atom():
     f = parse_formula("E x. label(x) = !(p,q,m1)")
     assert evaluate(example("crossing"), f)

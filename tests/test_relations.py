@@ -717,22 +717,23 @@ def test_successor_maps_match_edge_set_constructions():
             rel = relations.scheduling(m, model)
             assert_successor_map(rel)
             for reflexive in (False, True):
-                reach = graph.reach(old_adjacency(rel), reflexive=reflexive)
+                rows = graph.reach_bits(old_adjacency(rel), reflexive)
                 closed = relations.transitive_closure(rel, reflexive)
-                assert closed.edges == {(a, b) for a, bs in reach.items() for b in bs}
+                pairs = {(a, b) for a, row in rows.items() for b in graph.bits_of(row)}
+                assert closed.edges == pairs
                 assert closed.nodes == rel.nodes
                 assert_successor_map(closed)
             assert relations.scheduling_closure(m, model) == relations.transitive_closure(rel)
-        # happens-before: the hb_reach pairs
+        # happens-before: the hb_reach rows as pairs
         hb = happens_before(m)
-        assert hb.edges == {(e, f) for e, reach in m.hb_reach.items() for f in reach}
+        assert hb.edges == {(e, f) for e, row in m.hb_reach.items() for f in graph.bits_of(row)}
         assert_successor_map(hb)
         # crowns: matched sends, s1 before the receive of s2
         rm = m.rmatching
         crown = relations.crown_digraph(m)
         assert crown.nodes == m.matched_sends
         assert crown.edges == {
-            (s, rm[e]) for s in m.matched_sends for e in m.hb_reach[s] if e in rm and rm[e] != s
+            (s, rm[e]) for s in m.matched_sends for e in rm if rm[e] != s and m.hb(s, e)
         }
         assert_successor_map(crown)
         for name in ("mb", "onen", "nnrel", "mbp", "onenp", "relbasy"):
